@@ -212,9 +212,10 @@ let obs_opts_t =
       & opt (some string) None
       & info [ "record" ] ~docv:"FILE"
           ~doc:
-            "Record the run's DSM access stream as a replayable JSONL trace \
-             (see docs/WORKLOAD.md). Feed it back with $(b,divasim workload \
-             --replay FILE).")
+            "Record the run's DSM access stream as a replayable event trace \
+             holding only the variable declarations and DSM operations (see \
+             docs/WORKLOAD.md), streamed line by line as the simulation \
+             runs. Feed it back with $(b,divasim workload --replay FILE).")
   in
   let events =
     Arg.(
@@ -324,30 +325,46 @@ let machine_overheads (m : Diva_simnet.Machine.t) =
    through the stack. *)
 let armed_flight : Diva_obs.Flight.t option ref = ref None
 
-(* [--events] streams each event to disk as it is emitted, so the header
-   (app, mesh, strategy, seed, machine overheads) must be known before the
-   run; the runners always simulate the GCel machine model. When another
-   artifact needs the in-memory event list too, the sink tees; with
-   [--events] alone, recording costs O(1) memory. *)
+(* Files the run streams into while it executes, closed by
+   [write_artifacts]. *)
+type streams = {
+  events_oc : out_channel option;
+  recorder : (out_channel * Workload.Replay.recorder) option;
+}
+
+(* [--events] and [--record] stream each event to disk as it is emitted,
+   so their header (app, mesh, strategy, seed, machine overheads) must be
+   known before the run; the runners always simulate the GCel machine
+   model. Only the Chrome [--trace] export needs the in-memory event
+   list; without it, recording costs O(1) memory. *)
 let make_obs oo ~app ~dims ~strategy ~seed ~params =
   preflight oo;
-  let buffering = oo.trace_file <> None || oo.record_file <> None in
-  let trace, events_oc =
-    match oo.events_file with
-    | None ->
-        ( (if buffering then Diva_obs.Trace.create () else Diva_obs.Trace.null),
-          None )
-    | Some path ->
+  let header () =
+    Diva_obs.Streaming.make_header ~params ~app ~dims ~strategy ~seed
+      ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ()
+  in
+  let events_oc =
+    Option.map
+      (fun path ->
         let oc = open_out path in
-        let header =
-          Diva_obs.Streaming.make_header ~params ~app ~dims ~strategy ~seed
-            ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ()
-        in
-        Diva_obs.Streaming.write_header oc header;
-        let write e = Diva_obs.Trace.write_event oc e in
-        ( (if buffering then Diva_obs.Trace.tee write
-           else Diva_obs.Trace.stream write),
-          Some oc )
+        Diva_obs.Streaming.write_header oc (header ());
+        oc)
+      oo.events_file
+  in
+  let recorder =
+    Option.map
+      (fun path ->
+        let oc = open_out path in
+        (oc, Workload.Replay.recorder oc (header ())))
+      oo.record_file
+  in
+  let trace =
+    List.fold_left Diva_obs.Trace.with_listener
+      (if oo.trace_file <> None then Diva_obs.Trace.create ()
+       else Diva_obs.Trace.null)
+      (Option.to_list (Option.map Diva_obs.Trace.write_event events_oc)
+      @ Option.to_list
+          (Option.map (fun (_, r) -> Workload.Replay.record r) recorder))
   in
   (* The flight recorder must wrap the sink BEFORE anyone stores it:
      [Trace.with_listener] returns a fresh sink, so wrapping later would
@@ -386,7 +403,7 @@ let make_obs oo ~app ~dims ~strategy ~seed ~params =
       obs_prof = prof;
       obs_flight = flight;
     },
-    events_oc )
+    { events_oc; recorder } )
 
 (* The fault injector lives on the network, which the runners create and
    discard internally; the [on_net] hook (also used for the heatmap) runs
@@ -417,7 +434,7 @@ let write_text path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let write_artifacts oo (obs : Runner.obs) ~events_oc ~app ~dims ~strategy ~seed
+let write_artifacts oo (obs : Runner.obs) ~streams ~app ~dims ~strategy ~seed
     ~params ~measurements =
   try
     if oo.ticker then prerr_newline ();
@@ -426,7 +443,7 @@ let write_artifacts oo (obs : Runner.obs) ~events_oc ~app ~dims ~strategy ~seed
     let prof_doc =
       Option.map Diva_obs.Prof.to_json obs.Runner.obs_prof
     in
-    (match (oo.events_file, events_oc) with
+    (match (oo.events_file, streams.events_oc) with
     | Some path, Some oc ->
         close_out oc;
         Printf.printf "events   -> %s (%d events)\n" path
@@ -471,18 +488,13 @@ let write_artifacts oo (obs : Runner.obs) ~events_oc ~app ~dims ~strategy ~seed
         Diva_obs.Json.to_file path (manifest ());
         Printf.printf "manifest -> %s\n" path
     | None -> ());
-    match oo.record_file with
-    | Some path ->
-        let t =
-          Workload.Dsm_trace.of_events ~dims ~seed
-            ~meta:[ ("app", app); ("strategy", strategy) ]
-            (Diva_obs.Trace.events obs.Runner.obs_trace)
-        in
-        Workload.Dsm_trace.write path t;
+    match (oo.record_file, streams.recorder) with
+    | Some path, Some (oc, r) ->
+        close_out oc;
         Printf.printf "record   -> %s (%d ops, %d vars)\n" path
-          (List.length t.Workload.Dsm_trace.ops)
-          (List.length t.Workload.Dsm_trace.decls)
-    | None -> ()
+          (Workload.Replay.recorded_ops r)
+          (Workload.Replay.recorded_vars r)
+    | _ -> ()
   with Sys_error e ->
     Printf.eprintf "divasim: %s\n" e;
     exit 1
@@ -518,7 +530,7 @@ let matmul_cmd =
           [ ("block", Diva_obs.Json.Int block);
             ("compute", Diva_obs.Json.Bool compute) ]
         in
-        let obs, events_oc =
+        let obs, streams =
           make_obs oo ~app:"matmul" ~dims ~strategy:(Runner.name strategy)
             ~seed ~params
         in
@@ -531,7 +543,7 @@ let matmul_cmd =
           (Runner.name strategy);
         print_measurements m;
         print_faults !faults;
-        write_artifacts oo obs ~events_oc ~app:"matmul" ~dims
+        write_artifacts oo obs ~streams ~app:"matmul" ~dims
           ~strategy:(Runner.name strategy) ~seed ~params
           ~measurements:(Runner.measurement_fields m @ fault_json !faults)
     | _ -> failwith "matmul needs a square 2-D mesh"
@@ -548,7 +560,7 @@ let bitonic_cmd =
   let run dims strategy keys seed heatmap oo domains =
     note_serial ~what:"bitonic" domains;
     let params = [ ("keys", Diva_obs.Json.Int keys) ] in
-    let obs, events_oc =
+    let obs, streams =
       make_obs oo ~app:"bitonic" ~dims ~strategy:(Runner.name strategy) ~seed
         ~params
     in
@@ -559,7 +571,7 @@ let bitonic_cmd =
       keys (Runner.name strategy);
     print_measurements m;
     print_faults !faults;
-    write_artifacts oo obs ~events_oc ~app:"bitonic" ~dims
+    write_artifacts oo obs ~streams ~app:"bitonic" ~dims
       ~strategy:(Runner.name strategy) ~seed ~params
       ~measurements:(Runner.measurement_fields m @ fault_json !faults)
   in
@@ -596,7 +608,7 @@ let nbody_cmd =
         ("steps", Diva_obs.Json.Int steps);
         ("theta", Diva_obs.Json.Float theta) ]
     in
-    let obs, events_oc =
+    let obs, streams =
       make_obs oo ~app:"barnes-hut" ~dims
         ~strategy:(Dsm.strategy_name strategy) ~seed ~params
     in
@@ -616,7 +628,7 @@ let nbody_cmd =
           print_measurements (r.Runner.bh_phase ph))
         [ Barnes_hut.Build; Barnes_hut.Com; Barnes_hut.Partition;
           Barnes_hut.Force; Barnes_hut.Advance; Barnes_hut.Space ];
-    write_artifacts oo obs ~events_oc ~app:"barnes-hut" ~dims
+    write_artifacts oo obs ~streams ~app:"barnes-hut" ~dims
       ~strategy:(Dsm.strategy_name strategy) ~seed ~params
       ~measurements:
         (Runner.measurement_fields r.Runner.bh_total @ fault_json !faults)
@@ -629,6 +641,15 @@ let nbody_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze: span trees, critical path, congestion profiles             *)
 (* ------------------------------------------------------------------ *)
+
+(* A record that fails to load is a user error, not a crash: report the
+   file (and the offending line) and exit 1. *)
+let read_recording path =
+  match Workload.Replay.read path with
+  | Ok r -> r
+  | Error e ->
+      Printf.eprintf "divasim: %s\n" e;
+      exit 1
 
 let require_dsm_strategy = function
   | Runner.Strategy s -> s
@@ -667,9 +688,9 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Analyze a recorded DSM trace (produced by $(b,--record)) \
-             replayed against the chosen strategy instead of running an \
-             app inline.")
+            "Analyze a recorded DSM access stream (a $(b,--record) file or \
+             a full $(b,--events) trace) replayed against the chosen \
+             strategy instead of running an app inline.")
   in
   (* Existence and header (format + version) are validated at argument-parse
      time, like the workload command's --replay. *)
@@ -827,18 +848,14 @@ let analyze_cmd =
         let app_name, dims, params, go =
           match input with
           | `Replay path ->
-              let tr =
-                match Workload.Dsm_trace.read path with
-                | Ok t -> t
-                | Error e -> failwith e
-              in
+              let tr = read_recording path in
               let s = require_dsm_strategy strategy in
               ( "replay",
-                tr.Workload.Dsm_trace.dims,
+                tr.Workload.Replay.dims,
                 [ ("replay", Diva_obs.Json.String path) ],
-                fun obs on_net ->
+                fun obs ->
                   ignore
-                    (Workload.Replay.run ~obs ~on_net ~seed
+                    (Workload.Replay.run ~obs ~seed
                        ~mode:Workload.Replay.Closed_loop ~strategy:s tr) )
           | `Inline -> (
               match app with
@@ -848,18 +865,18 @@ let analyze_cmd =
                       ( "matmul",
                         dims,
                         [ ("block", Diva_obs.Json.Int block) ],
-                        fun obs on_net ->
+                        fun obs ->
                           ignore
-                            (Runner.run_matmul ~seed ~obs ~on_net ~rows ~cols
+                            (Runner.run_matmul ~seed ~obs ~rows ~cols
                                ~block strategy) )
                   | _ -> failwith "matmul needs a square 2-D mesh")
               | `Bitonic ->
                   ( "bitonic",
                     dims,
                     [ ("keys", Diva_obs.Json.Int keys) ],
-                    fun obs on_net ->
+                    fun obs ->
                       ignore
-                        (Runner.run_bitonic_nd ~seed ~obs ~on_net ~dims ~keys
+                        (Runner.run_bitonic_nd ~seed ~obs ~dims ~keys
                            strategy) )
               | `Nbody ->
                   let s = require_dsm_strategy strategy in
@@ -871,39 +888,28 @@ let analyze_cmd =
                     dims,
                     [ ("bodies", Diva_obs.Json.Int bodies);
                       ("steps", Diva_obs.Json.Int steps) ],
-                    fun obs on_net ->
+                    fun obs ->
                       ignore
-                        (Runner.run_barnes_hut_nd ~seed ~obs ~on_net ~dims ~cfg
-                           s) ))
+                        (Runner.run_barnes_hut_nd ~seed ~obs ~dims ~cfg s) ))
         in
+        (* The analyzer folds the event stream as the run emits it, so
+           memory stays bounded by the in-flight transactions. *)
+        let ov = machine_overheads Diva_simnet.Machine.gcel in
+        let st = Diva_obs.Streaming.create ~top_k:top ~num_windows:wins ov in
         let trace, events_oc =
           match events with
-          | None -> (Diva_obs.Trace.create (), None)
+          | None -> (Diva_obs.Streaming.sink st, None)
           | Some epath ->
               let oc = open_out epath in
               Diva_obs.Streaming.write_header oc
                 (Diva_obs.Streaming.make_header ~params ~app:app_name ~dims
-                   ~strategy:(Runner.name strategy) ~seed
-                   ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ());
-              ( Diva_obs.Trace.tee (fun e -> Diva_obs.Trace.write_event oc e),
+                   ~strategy:(Runner.name strategy) ~seed ~overheads:ov ());
+              ( Diva_obs.Trace.with_listener (Diva_obs.Streaming.sink st)
+                  (Diva_obs.Trace.write_event oc),
                 Some oc )
         in
-        let obs =
-          { Runner.null_obs with Runner.obs_trace = trace }
-        in
-        let captured = ref None in
-        let on_net net = captured := Some net in
-        go obs on_net;
-        let net =
-          match !captured with
-          | Some n -> n
-          | None -> failwith "internal error: the run never reached the network"
-        in
-        let ov = machine_overheads (Network.machine net) in
-        let summary =
-          Diva_obs.Analysis.summarize ~top_k:top ~num_windows:wins ov
-            (Diva_obs.Trace.events trace)
-        in
+        go { Runner.null_obs with Runner.obs_trace = trace };
+        let summary = Diva_obs.Streaming.finalize st in
         Printf.printf "analyze %s, %s mesh, strategy %s, seed %d\n\n" app_name
           (mesh_str dims) (Runner.name strategy) seed;
         print_string (Diva_obs.Analysis.render_summary summary);
@@ -914,7 +920,8 @@ let analyze_cmd =
               (Diva_obs.Trace.count trace)
         | _ -> ());
         if snapshots then
-          render_snapshots (Network.mesh net)
+          render_snapshots
+            (Diva_mesh.Mesh.create_nd ~dims)
             summary.Diva_obs.Analysis.sm_windows;
         (match json_out with
         | Some jpath ->
@@ -1026,10 +1033,10 @@ let burst_conv =
   Arg.conv (parse, fun ppf (n, g) -> Format.fprintf ppf "%d:%g" n g)
 
 (* Existence and header (format + version) are checked at argument-parse
-   time via {!Workload.Dsm_trace.probe}; the body parses after. *)
+   time via {!Diva_obs.Streaming.probe}; the body parses after. *)
 let replay_conv =
   let parse s =
-    match Workload.Dsm_trace.probe s with
+    match Diva_obs.Streaming.probe s with
     | Ok () -> Ok s
     | Error e -> Error (`Msg e)
   in
@@ -1130,9 +1137,10 @@ let workload_cmd =
       & opt (some replay_conv) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Instead of generating load, replay the recorded DSM trace \
-             $(docv) (produced by $(b,--record)) against the chosen strategy \
-             and seed. Generator options are ignored.")
+            "Instead of generating load, replay the DSM access stream \
+             recorded in $(docv) (a $(b,--record) file or a full \
+             $(b,--events) trace) against the chosen strategy and seed. \
+             Generator options are ignored.")
   in
   let replay_mode =
     Arg.(
@@ -1196,14 +1204,10 @@ let workload_cmd =
     else
       match replay with
       | Some path ->
-          let tr =
-            match Workload.Dsm_trace.read path with
-            | Ok t -> t
-            | Error e -> failwith e
-          in
+          let tr = read_recording path in
           let strategy = require_dsm_strategy strategy in
-          let obs, events_oc =
-            make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Dsm_trace.dims
+          let obs, streams =
+            make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Replay.dims
               ~strategy:(Dsm.strategy_name strategy) ~seed
               ~params:[ ("replay", Diva_obs.Json.String path) ]
           in
@@ -1214,15 +1218,15 @@ let workload_cmd =
           in
           Printf.printf "replay %s (%s, %d ops on %s), strategy %s\n" path
             (Workload.Replay.mode_name replay_mode)
-            (List.length tr.Workload.Dsm_trace.ops)
+            (List.length tr.Workload.Replay.ops)
             (String.concat "x"
-               (List.map string_of_int (Array.to_list tr.Workload.Dsm_trace.dims)))
+               (List.map string_of_int (Array.to_list tr.Workload.Replay.dims)))
             (Dsm.strategy_name strategy);
           print_measurements r.Workload.Generator.measurements;
           print_faults !faults;
           print_string (Workload.Latency.render r.Workload.Generator.latency);
-          write_artifacts oo obs ~events_oc ~app:"workload-replay"
-            ~dims:tr.Workload.Dsm_trace.dims ~strategy:(Dsm.strategy_name strategy)
+          write_artifacts oo obs ~streams ~app:"workload-replay"
+            ~dims:tr.Workload.Replay.dims ~strategy:(Dsm.strategy_name strategy)
             ~seed
             ~params:[ ("replay", Diva_obs.Json.String path) ]
             ~measurements:
@@ -1231,7 +1235,7 @@ let workload_cmd =
               @ fault_json !faults)
       | None ->
           let strategy = require_dsm_strategy strategy in
-          let obs, events_oc =
+          let obs, streams =
             make_obs oo ~app:"workload" ~dims
               ~strategy:(Dsm.strategy_name strategy) ~seed
               ~params:(Workload.Spec.to_params spec)
@@ -1246,7 +1250,7 @@ let workload_cmd =
           print_measurements r.Workload.Generator.measurements;
           print_faults !faults;
           print_string (Workload.Latency.render r.Workload.Generator.latency);
-          write_artifacts oo obs ~events_oc ~app:"workload" ~dims
+          write_artifacts oo obs ~streams ~app:"workload" ~dims
             ~strategy:(Dsm.strategy_name strategy) ~seed
             ~params:(Workload.Spec.to_params spec)
             ~measurements:
@@ -1819,7 +1823,7 @@ let serve_cmd =
       | None ->
           note_serial ~what:"serve (single run; use --sweep to fan out)"
             domains;
-          let obs, events_oc =
+          let obs, streams =
             make_obs oo ~app:"serve" ~dims
               ~strategy:(Dsm.strategy_name strategy) ~seed ~params
           in
@@ -1835,7 +1839,7 @@ let serve_cmd =
           print_measurements r.Service.Engine.measurements;
           print_faults !faults;
           print_string (Service.Engine.render r);
-          write_artifacts oo obs ~events_oc ~app:"serve" ~dims
+          write_artifacts oo obs ~streams ~app:"serve" ~dims
             ~strategy:(Dsm.strategy_name strategy) ~seed ~params
             ~measurements:
               (Runner.measurement_fields r.Service.Engine.measurements

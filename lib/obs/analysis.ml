@@ -37,8 +37,6 @@ let op_name = function
   | Trace.Barrier -> "barrier"
   | Trace.Reduce -> "reduce"
 
-let txn_end (x : Spans.txn) = x.Spans.t_start +. x.Spans.t_dur
-
 (* Strategy-neutral view of one completing-chain message: what the
    decomposition sweep needs, detached from where the records live (full
    {!Spans} tables or a streaming analyzer's retained prefix). *)
@@ -160,57 +158,6 @@ let sides_cost ov sides =
   List.fold_left (fun a s -> add_cost a (side_cost ov s)) zero_cost sides
 
 (* ------------------------------------------------------------------ *)
-(* Whole-run critical path                                              *)
-(* ------------------------------------------------------------------ *)
-
-type critical_path = {
-  cp_node : int;  (** the last-finishing processor *)
-  cp_end : float;  (** when its final transaction completed *)
-  cp_txns : int list;  (** transaction ids along its timeline *)
-  cp_cost : cost;
-      (** the node's whole timeline: blocking decompositions plus
-          inter-transaction gaps (application compute) as [cpu_us] *)
-}
-
-(* The makespan is decided by the last-finishing processor; its timeline —
-   application compute between transactions plus each transaction's
-   blocking decomposition — explains where the run's wall-clock went. *)
-let critical_path ov spans =
-  match Spans.txns spans with
-  | [] -> None
-  | all ->
-      let last =
-        List.fold_left
-          (fun acc t -> if txn_end t > txn_end acc then t else acc)
-          (List.hd all) all
-      in
-      let node = last.Spans.t_node in
-      let mine =
-        List.filter
-          (fun (t : Spans.txn) ->
-            t.Spans.t_node = node && txn_end t <= txn_end last)
-          all
-      in
-      let mine =
-        List.sort (fun a b -> Float.compare a.Spans.t_start b.Spans.t_start) mine
-      in
-      let cost, _ =
-        List.fold_left
-          (fun (c, prev_end) t ->
-            let gap = Float.max 0.0 (t.Spans.t_start -. prev_end) in
-            let c = { c with cpu_us = c.cpu_us +. gap } in
-            (add_cost c (decompose ov spans t), txn_end t))
-          (zero_cost, 0.0) mine
-      in
-      Some
-        {
-          cp_node = node;
-          cp_end = txn_end last;
-          cp_txns = List.map (fun t -> t.Spans.t_id) mine;
-          cp_cost = cost;
-        }
-
-(* ------------------------------------------------------------------ *)
 (* Traffic profiles                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,36 +214,6 @@ type link_row = {
   lk_busy_us : float;
 }
 
-let link_rows spans =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (m : Spans.msg) ->
-      List.iter
-        (fun (link, s, f) ->
-          let msgs, bytes, busy =
-            Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt tbl link)
-          in
-          Hashtbl.replace tbl link
-            (msgs + 1, bytes + m.Spans.size, busy +. (f -. s)))
-        m.Spans.xfers)
-    (Spans.msgs spans);
-  Hashtbl.fold
-    (fun link (msgs, bytes, busy) acc ->
-      { lk_link = link; lk_msgs = msgs; lk_bytes = bytes; lk_busy_us = busy }
-      :: acc)
-    tbl []
-
-let top_links ?(k = 10) spans =
-  let rows =
-    List.sort
-      (fun a b ->
-        match compare b.lk_bytes a.lk_bytes with
-        | 0 -> compare a.lk_link b.lk_link
-        | c -> c)
-      (link_rows spans)
-  in
-  List.filteri (fun i _ -> i < k) rows
-
 type window = {
   w_start : float;
   w_finish : float;
@@ -304,54 +221,6 @@ type window = {
       (** per-link bytes attributed to the window, overlap-proportional;
           ascending link id, zero links omitted *)
 }
-
-let end_time spans =
-  List.fold_left
-    (fun acc (m : Spans.msg) ->
-      let acc =
-        List.fold_left (fun acc (_, _, f) -> Float.max acc f) acc m.Spans.xfers
-      in
-      match m.Spans.handled with Some h -> Float.max acc h | None -> acc)
-    0.0 (Spans.msgs spans)
-
-let windows ?(n = 8) spans =
-  let t_end = end_time spans in
-  if t_end <= 0.0 || n <= 0 then []
-  else begin
-    let w = t_end /. float_of_int n in
-    let tables = Array.init n (fun _ -> Hashtbl.create 32) in
-    List.iter
-      (fun (m : Spans.msg) ->
-        List.iter
-          (fun (link, s, f) ->
-            if f > s then
-              let rate = float_of_int m.Spans.size /. (f -. s) in
-              let first = max 0 (int_of_float (s /. w))
-              and last = min (n - 1) (int_of_float (f /. w)) in
-              for i = first to last do
-                let lo = Float.max s (float_of_int i *. w)
-                and hi = Float.min f (float_of_int (i + 1) *. w) in
-                if hi > lo then
-                  let prev =
-                    Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
-                  in
-                  Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
-              done)
-          m.Spans.xfers)
-      (Spans.msgs spans);
-    List.init n (fun i ->
-        {
-          w_start = float_of_int i *. w;
-          w_finish = float_of_int (i + 1) *. w;
-          w_link_bytes =
-            List.sort compare
-              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) tables.(i) []);
-        })
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Per-operation cost table                                             *)
-(* ------------------------------------------------------------------ *)
 
 type op_row = {
   or_op : Trace.dsm_op;
@@ -365,57 +234,14 @@ type op_row = {
 
 let op_order = [ Trace.Read; Write; Lock; Unlock; Barrier; Reduce ]
 
-let op_table ov spans =
-  List.filter_map
-    (fun op ->
-      let mine =
-        List.filter (fun (t : Spans.txn) -> t.Spans.t_op = op) (Spans.txns spans)
-      in
-      match mine with
-      | [] -> None
-      | _ ->
-          let n = List.length mine in
-          let sum_dur =
-            List.fold_left (fun a t -> a +. t.Spans.t_dur) 0.0 mine
-          in
-          let max_dur =
-            List.fold_left (fun a t -> Float.max a t.Spans.t_dur) 0.0 mine
-          in
-          let cost =
-            List.fold_left
-              (fun a t -> add_cost a (decompose ov spans t))
-              zero_cost mine
-          in
-          let side_msgs =
-            List.fold_left
-              (fun a t -> a + List.length (Spans.sides spans t))
-              0 mine
-          in
-          let side =
-            List.fold_left
-              (fun a t -> add_cost a (sides_cost ov (Spans.sides spans t)))
-              zero_cost mine
-          in
-          Some
-            {
-              or_op = op;
-              or_count = n;
-              or_mean_us = sum_dur /. float_of_int n;
-              or_max_us = max_dur;
-              or_cost = cost;
-              or_side_msgs = side_msgs;
-              or_side_cost = side;
-            })
-    op_order
-
 (* ------------------------------------------------------------------ *)
 (* Canonical event folds shared by batch and streaming                  *)
 (* ------------------------------------------------------------------ *)
 
 (* End of network activity, folded from the event stream itself: the last
    link release (acks excluded, matching span-based traffic accounting),
-   the last handler run, the last local handler. Unlike the span-based
-   {!end_time} this sees every delivery of a retransmitted message, so
+   the last handler run, the last local handler. Folding events rather
+   than span records sees every delivery of a retransmitted message, so
    batch and streaming agree on it by construction. *)
 let end_time_events events =
   List.fold_left
@@ -533,8 +359,10 @@ module Txn_fold = struct
           Hashtbl.add t.nodes node na;
           na
     in
-    (* Same fold as {!critical_path}: gaps between a node's transactions
-       are application compute (cpu), then the blocking decomposition.
+    (* The makespan is decided by the last-finishing processor; its
+       timeline explains where the run's wall-clock went. Gaps between a
+       node's transactions are application compute (cpu), then comes the
+       blocking decomposition.
        Completion order per node equals start order (a node's fiber blocks
        on one transaction at a time), so no sort is needed. *)
     let gap = Float.max 0.0 (t_start -. na.na_end) in
@@ -721,33 +549,6 @@ let op_row_json r =
       ("side_cost", cost_json r.or_side_cost);
     ]
 
-let to_json ?(meta = []) ?(top_k = 10) ?(num_windows = 8) ov spans =
-  let critical =
-    match critical_path ov spans with
-    | None -> Json.Null
-    | Some cp ->
-        Json.Obj
-          [
-            ("node", Json.Int cp.cp_node);
-            ("end_us", Json.Float cp.cp_end);
-            ("txns", Json.Int (List.length cp.cp_txns));
-            ("cost", cost_json cp.cp_cost);
-          ]
-  in
-  Json.Obj
-    (meta
-    @ [
-        ("num_txns", Json.Int (List.length (Spans.txns spans)));
-        ("num_msgs", Json.Int (Spans.num_msgs spans));
-        ("critical_path", critical);
-        ("levels", Json.List (List.map level_row_json (level_profile spans)));
-        ("top_links",
-         Json.List (List.map link_row_json (top_links ~k:top_k spans)));
-        ("windows",
-         Json.List (List.map window_json (windows ~n:num_windows spans)));
-        ("ops", Json.List (List.map op_row_json (op_table ov spans)));
-      ])
-
 let summary_to_json ?(meta = []) s =
   let critical =
     match s.sm_critical with
@@ -817,22 +618,6 @@ let render_sections b ~levels ~links ~ops =
             (render_cost r.or_side_cost))
       ops
   end
-
-let render ?(top_k = 10) ov spans =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "transactions: %d   messages: %d\n"
-    (List.length (Spans.txns spans))
-    (Spans.num_msgs spans);
-  (match critical_path ov spans with
-  | None -> pf "critical path: (no transactions)\n"
-  | Some cp ->
-      pf "critical path: node %d, makespan %.0f us over %d transactions\n"
-        cp.cp_node cp.cp_end (List.length cp.cp_txns);
-      pf "  %s\n" (render_cost cp.cp_cost));
-  render_sections b ~levels:(level_profile spans)
-    ~links:(top_links ~k:top_k spans) ~ops:(op_table ov spans);
-  Buffer.contents b
 
 let render_summary s =
   let b = Buffer.create 4096 in

@@ -65,20 +65,6 @@ val decompose : overheads -> Spans.t -> Spans.txn -> cost
     precedence startup > transfer > cpu; the uncovered remainder is
     queueing. *)
 
-type critical_path = {
-  cp_node : int;  (** the last-finishing processor *)
-  cp_end : float;  (** when its final transaction completed *)
-  cp_txns : int list;  (** transaction ids along its timeline *)
-  cp_cost : cost;
-      (** the node's whole timeline: blocking decompositions plus
-          inter-transaction gaps (application compute) as [cpu_us] *)
-}
-
-val critical_path : overheads -> Spans.t -> critical_path option
-(** The makespan is decided by the last-finishing processor; its timeline
-    decomposition explains where the run's wall-clock went. [None] when the
-    trace holds no transactions. *)
-
 type level_row = {
   lv_level : int;  (** access-tree depth; -1 collects untagged traffic *)
   lv_msgs : int;
@@ -100,10 +86,6 @@ type link_row = {
   lk_busy_us : float;
 }
 
-val top_links : ?k:int -> Spans.t -> link_row list
-(** The [k] (default 10) most congested directed links by bytes carried,
-    ties broken by link id. *)
-
 type window = {
   w_start : float;
   w_finish : float;
@@ -111,11 +93,6 @@ type window = {
       (** per-link bytes attributed to the window, overlap-proportional;
           ascending link id, zero links omitted *)
 }
-
-val windows : ?n:int -> Spans.t -> window list
-(** Split the run into [n] (default 8) equal time windows and attribute
-    each link occupancy's bytes proportionally to the windows it overlaps
-    — the data behind time-lapse congestion heatmaps. *)
 
 type op_row = {
   or_op : Trace.dsm_op;
@@ -127,23 +104,21 @@ type op_row = {
   or_side_cost : cost;  (** summed side-branch attribution *)
 }
 
-val op_table : overheads -> Spans.t -> op_row list
-(** Latency and summed cost decomposition per operation type (miss path
-    only — hits never enter the protocol). Ops with no transactions are
-    omitted. *)
-
 (** {2 Canonical event folds (shared by batch and streaming)} *)
 
 val end_time_events : Trace.event list -> float
 (** End of network activity folded from the events themselves: last link
     release (acks excluded), last handler run, last local handler. Unlike
-    the span-based {!windows} basis this sees every delivery of a
-    retransmitted message, so batch and streaming agree by construction. *)
+    span records, the events see every delivery of a retransmitted
+    message, so batch and streaming agree by construction. *)
 
-(** Incremental per-window per-link byte attribution (the math of
-    {!windows} as a fold). Window boundaries need the run's end time up
-    front, so {!Streaming} retains each crossing as four scalars during
-    its single pass and replays them through this fold at finalize. *)
+(** Incremental per-window per-link byte attribution: the run is split
+    into [n] equal time windows and each link occupancy's bytes are
+    attributed proportionally to the windows it overlaps — the data behind
+    time-lapse congestion heatmaps. Window boundaries need the run's end
+    time up front, so {!Streaming} retains each crossing as four scalars
+    during its single pass and replays them through this fold at
+    finalize. *)
 module Windows_fold : sig
   type t
 
@@ -227,25 +202,11 @@ val summarize :
 
 val cost_json : cost -> Json.t
 
-val to_json :
-  ?meta:(string * Json.t) list ->
-  ?top_k:int ->
-  ?num_windows:int ->
-  overheads ->
-  Spans.t ->
-  Json.t
-(** The machine-readable [analysis.json] payload: run totals, critical
-    path, level profile, top links, windowed link traffic and the
-    per-operation table. [meta] entries are prepended to the object. *)
-
 val summary_to_json : ?meta:(string * Json.t) list -> summary -> Json.t
 (** The machine-readable [analysis.json] payload. [meta] entries are
     prepended to the object. *)
 
 val render_cost : cost -> string
-
-val render : ?top_k:int -> overheads -> Spans.t -> string
-(** Human-readable report over span tables (legacy batch path). *)
 
 val render_summary : summary -> string
 (** Human-readable report (the [divasim analyze] stdout). *)

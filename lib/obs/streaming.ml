@@ -412,7 +412,12 @@ let field ~what ~key conv j =
 let parse_header line =
   let* j = Result.map_error (fun e -> "header: " ^ e) (Json.of_string line) in
   let* fmt = field ~what:"header" ~key:"format" Json.to_str j in
-  if fmt <> format_name then
+  if fmt = "diva-dsm-trace" then
+    Error
+      "format \"diva-dsm-trace\" is the retired DSM record format; \
+       re-record the run with --record, which now writes a \
+       diva-event-trace"
+  else if fmt <> format_name then
     Error
       (Printf.sprintf "not an event trace (format %S, expected %S)" fmt
          format_name)
@@ -464,6 +469,15 @@ let parse_header line =
           h_overheads = overheads;
           h_params = params;
         }
+
+(* A [--record] file carries only the DSM events; the mark lives in the
+   free-form params so the header layout stays the same. *)
+let dsm_only_param = ("events", Json.String "dsm-only")
+
+let mark_dsm_only h = { h with h_params = h.h_params @ [ dsm_only_param ] }
+
+let is_dsm_only h =
+  List.exists (fun kv -> kv = dsm_only_param) h.h_params
 
 let write_header oc h =
   let b = Buffer.create 256 in
@@ -667,12 +681,20 @@ let probe path =
    and the peak message-record residency. *)
 let analyze_file ?top_k ?num_windows ?ring path =
   let* header =
-    Result.map_error
-      (fun e -> e)
-      (with_lines path (fun ic ->
-           match input_line ic with
-           | exception End_of_file -> Error "empty trace file"
-           | line -> parse_header line))
+    with_lines path (fun ic ->
+        match input_line ic with
+        | exception End_of_file -> Error "empty trace file"
+        | line -> parse_header line)
+  in
+  let* () =
+    if is_dsm_only header then
+      Error
+        (Printf.sprintf
+           "%s: the file carries DSM events only (a --record file) and \
+            cannot be analyzed offline; record the full stream with \
+            --events, or re-simulate it with analyze --replay"
+           path)
+    else Ok ()
   in
   let t = create ?top_k ?num_windows ?ring header.h_overheads in
   let* _ = iter_file path ~f:(feed t) in

@@ -108,6 +108,13 @@ val make_header :
 val header_json : header -> Json.t
 val parse_header : string -> (header, string) result
 
+val mark_dsm_only : header -> header
+(** Tag the header as a DSM-only record: the file holds just the
+    [Var_decl] and [Dsm_access] events ([divasim --record]). The tag is
+    the ["events": "dsm-only"] entry of the free-form params. *)
+
+val is_dsm_only : header -> bool
+
 val write_header : out_channel -> header -> unit
 
 val file_sink : out_channel -> header -> Trace.sink
@@ -135,7 +142,8 @@ val analyze_file :
     is read once, and the windowed link series folds at the end from the
     crossings retained along the way. Returns the header, a summary
     bit-identical to analyzing the live run, and the peak message-record
-    residency. *)
+    residency. A DSM-only record ({!is_dsm_only}) is refused: it holds no
+    messages to analyze. *)
 
 (** {2 Multi-run merge / compaction}
 

@@ -127,9 +127,6 @@ let create () = { on = true; buffer = true; rev_events = []; n = 0; on_event = N
 let stream f =
   { on = true; buffer = false; rev_events = []; n = 0; on_event = Some f }
 
-let tee f =
-  { on = true; buffer = true; rev_events = []; n = 0; on_event = Some f }
-
 let enabled s = s.on
 
 let emit s e =

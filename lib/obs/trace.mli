@@ -187,10 +187,6 @@ val stream : (event -> unit) -> sink
     long the run. The backbone of streaming analysis and on-disk trace
     recording (see {!Streaming}). *)
 
-val tee : (event -> unit) -> sink
-(** Buffer like {!create} and also forward to the callback — for writing
-    a trace file while keeping the in-memory batch path available. *)
-
 val enabled : sink -> bool
 (** Instrumentation sites test this before constructing an event. *)
 

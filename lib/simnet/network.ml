@@ -71,6 +71,7 @@ type walk_scratch = {
   mutable wk_arrival : float;
   mutable wk_last_start : float;
   mutable wk_last_occupancy : float;
+  mutable wk_outcome : float;  (* delivery time, or when the message was lost *)
 }
 
 type t = {
@@ -149,7 +150,9 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
     machine;
     root_rng = Prng.create ~seed;
     route_buf = Array.make (max 1 (Mesh.max_route_length mesh)) 0;
-    walk = { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0 };
+    walk =
+      { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0;
+        wk_outcome = 0.0 };
     link_free = Array.make nl 0.0;
     stats = Link_stats.create ~num_links:nl;
     cpu_free = Array.make n 0.0;
@@ -337,10 +340,14 @@ let reserve_cpu t node ~from dt =
 type dctx = { dx_net : t; dx_msg : msg; dx_id : int; dx_txn : int }
 
 (* Schedules the handler and returns the time it runs, so the caller can
-   record it in the delivery event. *)
-let rec deliver t msg ~id ~txn at =
-  (* Receive overhead on the destination CPU, then the handler runs. *)
-  let handle_at = reserve_cpu t msg.m_dst ~from:at t.machine.Machine.recv_overhead in
+   record it in the delivery event. The handler runs after the receive
+   overhead on the destination CPU; an ack is a hardware-level control
+   message, which the envelope layer consumes at arrival time. *)
+let rec deliver t msg ~id ~txn ~is_ack at =
+  let handle_at =
+    if is_ack then at
+    else reserve_cpu t msg.m_dst ~from:at t.machine.Machine.recv_overhead
+  in
   Sim.schedule_call t.sim handle_at run_dispatch
     { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn };
   handle_at
@@ -376,11 +383,9 @@ and dispatch t msg =
              but hand only the first copy to the handler. Acks have no
              [Msg_send] of their own, so they carry id [-1] (the sentinel
              analyzers filter on) and inherit the envelope's transaction. *)
-          ignore
-            (transmit t rel ~id:(-1) ~txn:t.cur_txn ~level:(-1)
-               { m_src = msg.m_dst; m_dst = msg.m_src;
-                 m_size = Faults.ack_size; m_tag = -1; m_payload = Ack { seq } }
-              : float * float);
+          transmit t rel ~id:(-1) ~txn:t.cur_txn ~level:(-1)
+            { m_src = msg.m_dst; m_dst = msg.m_src;
+              m_size = Faults.ack_size; m_tag = -1; m_payload = Ack { seq } };
           if not (Hashtbl.mem rel.rl_seen seq) then begin
             Hashtbl.add rel.rl_seen seq ();
             t.handlers.(msg.m_dst) t { msg with m_payload = inner }
@@ -388,21 +393,20 @@ and dispatch t msg =
       | _ -> t.handlers.(msg.m_dst) t msg)
 
 (* One physical transmission attempt under an installed fault schedule:
-   same wormhole model as the fault-free path, plus per-link slowdown
-   factors, outage and crash-window loss, and seeded probabilistic loss.
-   Lost messages are traced and counted, never delivered. Returns the
-   attempt's outcome time — delivery or loss — so retry timers can be
-   armed from when the attempt actually resolved rather than when it was
+   seeded probabilistic loss at injection, then the shared wormhole
+   {!walk} with its fault hooks armed. Leaves the attempt's outcome time —
+   delivery or loss — in [t.walk.wk_outcome], so retry timers can be armed
+   from when the attempt actually resolved rather than when it was
    injected (a message queued behind congested links must not be
    retransmitted while still in flight: that feedback loop melts the
-   network). Returns [(inject_at, outcome)].
+   network).
 
    [?inject] lets the caller reserve the sender's CPU (and account the
    startup) itself before calling, so it can emit the [Msg_send] event
    ahead of the attempt's link crossings. *)
 and transmit ?inject t rel ~id ~txn ~level msg =
   let f = rel.rl_faults in
-  let src = msg.m_src and dst = msg.m_dst and size = msg.m_size in
+  let src = msg.m_src in
   (* Acks are modelled as hardware-level control messages: they occupy
      links like any flit but cost no CPU overhead on either side and do
      not count as startups. Charging the full 500 us send/recv overhead
@@ -422,39 +426,42 @@ and transmit ?inject t rel ~id ~txn ~level msg =
         end
   in
   if Faults.draw_drop f ~now:inject_at then begin
-    Faults.count_lost f Trace.Loss_random;
-    if Trace.enabled t.trace then
-      Trace.emit t.trace
-        (Trace.Msg_lost
-           { ts = inject_at; msg = id; txn; src; dst; size;
-             reason = Trace.Loss_random });
-    (inject_at, inject_at)
+    lose t f ~id ~txn msg Trace.Loss_random inject_at;
+    t.walk.wk_outcome <- inject_at
   end
-  else begin
-    let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
-    let wk = t.walk in
-    wk.wk_arrival <- inject_at;
-    wk.wk_last_start <- inject_at;
-    wk.wk_last_occupancy <- 0.0;
-    let lost_at = ref None in
-    let h = ref 0 in
-    while !lost_at = None && !h < hops do
-      let link = t.route_buf.(!h) in
-      incr h;
-      let start = Float.max wk.wk_arrival t.link_free.(link) in
-      if Faults.link_down f ~link ~now:start then begin
-        lost_at := Some start;
-        Faults.count_lost f Trace.Loss_link_down;
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_lost
-               { ts = start; msg = id; txn; src; dst; size;
-                 reason = Trace.Loss_link_down })
-      end
-      else begin
+  else walk t ~id ~txn ~level ~is_ack msg inject_at
+
+(* Eager wormhole approximation, shared by every remote transmission: the
+   header advances hop by hop, each link is occupied for the full transfer
+   time, the tail leaves the last link [occupancy] after the header entered
+   it. The route is walked out of a preallocated buffer with unboxed float
+   accumulators, so the fault-free walk allocates nothing. The fault hooks
+   — outage loss, per-link slowdown, crash-window loss — run only while a
+   schedule is installed. Leaves the outcome time (delivery, or the loss)
+   in [t.walk.wk_outcome]. *)
+and walk t ~id ~txn ~level ~is_ack msg inject_at =
+  let src = msg.m_src and dst = msg.m_dst and size = msg.m_size in
+  let transfer = Machine.transfer_time t.machine size in
+  let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
+  let wk = t.walk in
+  wk.wk_arrival <- inject_at;
+  wk.wk_last_start <- inject_at;
+  wk.wk_last_occupancy <- 0.0;
+  let lost = ref false and h = ref 0 in
+  while (not !lost) && !h < hops do
+    let link = t.route_buf.(!h) in
+    incr h;
+    let start = Float.max wk.wk_arrival t.link_free.(link) in
+    match t.rel with
+    | Some rel when Faults.link_down rel.rl_faults ~link ~now:start ->
+        lost := true;
+        lose t rel.rl_faults ~id ~txn msg Trace.Loss_link_down start;
+        wk.wk_outcome <- start
+    | rel ->
         let occupancy =
-          Machine.transfer_time t.machine size
-          *. Faults.link_factor f ~link ~now:start
+          match rel with
+          | None -> transfer
+          | Some r -> transfer *. Faults.link_factor r.rl_faults ~link ~now:start
         in
         t.link_free.(link) <- start +. occupancy;
         Link_stats.record t.stats ~link ~bytes:size;
@@ -466,38 +473,30 @@ and transmit ?inject t rel ~id ~txn ~level msg =
         wk.wk_last_start <- start;
         wk.wk_last_occupancy <- occupancy;
         wk.wk_arrival <- start +. t.machine.Machine.hop_latency
-      end
-    done;
-    match !lost_at with
-    | Some ts -> (inject_at, ts)
-    | None ->
-        let delivered_at = wk.wk_last_start +. wk.wk_last_occupancy in
-        if Faults.crashed f ~node:dst ~now:delivered_at then begin
-          Faults.count_lost f Trace.Loss_crashed;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Msg_lost
-                 { ts = delivered_at; msg = id; txn; src; dst; size;
-                   reason = Trace.Loss_crashed })
-        end
-        else begin
-          let handled =
-            if is_ack then begin
-              (* Hardware-level control message: no receive overhead, the
-                 envelope layer consumes it at arrival time. *)
-              Sim.schedule_call t.sim delivered_at run_dispatch
-                { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn };
-              delivered_at
-            end
-            else deliver t msg ~id ~txn delivered_at
-          in
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Msg_deliver
-                 { ts = delivered_at; id; txn; handled; src; dst; size })
-        end;
-        (inject_at, delivered_at)
+  done;
+  if not !lost then begin
+    let delivered_at = wk.wk_last_start +. wk.wk_last_occupancy in
+    wk.wk_outcome <- delivered_at;
+    match t.rel with
+    | Some rel when Faults.crashed rel.rl_faults ~node:dst ~now:delivered_at ->
+        lose t rel.rl_faults ~id ~txn msg Trace.Loss_crashed delivered_at
+    | _ ->
+        let handled = deliver t msg ~id ~txn ~is_ack delivered_at in
+        if Trace.enabled t.trace then
+          Trace.emit t.trace
+            (Trace.Msg_deliver
+               { ts = delivered_at; id; txn; handled; src; dst; size })
   end
+
+(* A transmission lost to an injected fault: counted and traced, never
+   delivered. *)
+and lose t f ~id ~txn msg reason ts =
+  Faults.count_lost f reason;
+  if Trace.enabled t.trace then
+    Trace.emit t.trace
+      (Trace.Msg_lost
+         { ts; msg = id; txn; src = msg.m_src; dst = msg.m_dst;
+           size = msg.m_size; reason })
 
 (* Retransmission timer, armed from the attempt's outcome time [from]
    (delivery or loss) with exponential backoff capped at rto * 2^6. The
@@ -519,12 +518,10 @@ and retransmit t rel seq p =
       (Trace.Msg_retry
          { ts = now t; msg = p.p_id; txn = p.p_txn; src = p.p_src;
            dst = p.p_dst; size = p.p_size; attempt = p.p_attempt });
-  let _, outcome =
-    transmit t rel ~id:p.p_id ~txn:p.p_txn ~level:p.p_level
-      { m_src = p.p_src; m_dst = p.p_dst; m_size = p.p_size; m_tag = p.p_tag;
-        m_payload = Env { seq; inner = p.p_inner } }
-  in
-  arm_timeout t rel seq p ~from:outcome
+  transmit t rel ~id:p.p_id ~txn:p.p_txn ~level:p.p_level
+    { m_src = p.p_src; m_dst = p.p_dst; m_size = p.p_size; m_tag = p.p_tag;
+      m_payload = Env { seq; inner = p.p_inner } };
+  arm_timeout t rel seq p ~from:t.walk.wk_outcome
 
 let send t ?(tag = -1) ~src ~dst ~size payload =
   let msg =
@@ -548,8 +545,20 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
     Sim.schedule_call t.sim at run_dispatch
       { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn }
   end
-  else
+  else begin
+    t.startup_count <- t.startup_count + 1;
+    t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
+    let inject_at = reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead in
+    (* [Msg_send] goes out before the first attempt: single-pass analyzers
+       must see the message record before its link crossings (and a
+       same-instant delivery or loss). *)
+    if Trace.enabled t.trace then
+      Trace.emit t.trace
+        (Trace.Msg_send
+           { ts = t0; id; parent; txn; inject = inject_at; level; src; dst;
+             size; local = false });
     match t.rel with
+    | None -> walk t ~id ~txn ~level ~is_ack:false msg inject_at
     | Some rel ->
         let seq = rel.rl_next_seq in
         rel.rl_next_seq <- seq + 1;
@@ -558,64 +567,10 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
                   p_dst = dst; p_size = size; p_tag = tag; p_inner = payload;
                   p_attempt = 0; p_last_tx = t0 } in
         Hashtbl.add rel.rl_pending seq p;
-        (* Reserve the CPU here so [Msg_send] can be emitted before the
-           first attempt: single-pass analyzers must see the message
-           record before its link crossings (and a same-instant delivery
-           or loss). *)
-        t.startup_count <- t.startup_count + 1;
-        t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
-        let inject_at =
-          reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead
-        in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_send
-               { ts = t0; id; parent; txn; inject = inject_at; level; src;
-                 dst; size; local = false });
-        let _, outcome =
-          transmit ~inject:inject_at t rel ~id ~txn ~level
-            { msg with m_payload = Env { seq; inner = payload } }
-        in
-        arm_timeout t rel seq p ~from:outcome
-    | None -> begin
-        t.startup_count <- t.startup_count + 1;
-        t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
-        let inject_at = reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_send
-               { ts = t0; id; parent; txn; inject = inject_at; level; src;
-                 dst; size; local = false });
-        let occupancy = Machine.transfer_time t.machine size in
-        (* Eager wormhole approximation: the header advances hop by hop, each
-           link is occupied for the full transfer time, the tail leaves the last
-           link [occupancy] after the header entered it. The route is walked
-           out of a preallocated buffer with unboxed float accumulators, so
-           the whole walk allocates nothing. *)
-        let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
-        let wk = t.walk in
-        wk.wk_arrival <- inject_at;
-        wk.wk_last_start <- inject_at;
-        for h = 0 to hops - 1 do
-          let link = t.route_buf.(h) in
-          let start = Float.max wk.wk_arrival t.link_free.(link) in
-          t.link_free.(link) <- start +. occupancy;
-          Link_stats.record t.stats ~link ~bytes:size;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Link_xfer
-                 { start; finish = start +. occupancy; link; msg = id; txn;
-                   level; src; dst; size });
-          wk.wk_last_start <- start;
-          wk.wk_arrival <- start +. t.machine.Machine.hop_latency
-        done;
-        let delivered_at = wk.wk_last_start +. occupancy in
-        let handled = deliver t msg ~id ~txn delivered_at in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_deliver
-               { ts = delivered_at; id; txn; handled; src; dst; size })
-      end
+        transmit ~inject:inject_at t rel ~id ~txn ~level
+          { msg with m_payload = Env { seq; inner = payload } };
+        arm_timeout t rel seq p ~from:t.walk.wk_outcome
+  end
 
 (* Forced early retransmission of the envelopes still pending from [src],
    in seq order for determinism. The DSM watchdog calls this when a

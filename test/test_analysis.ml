@@ -14,8 +14,8 @@ module Analysis = Diva_obs.Analysis
 
 let eps = 1e-6
 
-(* Run one app with causal tracing on and return (overheads, spans). *)
-let traced_run run =
+(* Run one app with causal tracing on and return (overheads, events). *)
+let traced_events run =
   let trace = Trace.create () in
   let obs = { Runner.null_obs with Runner.obs_trace = trace } in
   let captured = ref None in
@@ -28,7 +28,11 @@ let traced_run run =
       recv_overhead = m.Machine.recv_overhead;
       local_overhead = m.Machine.local_overhead }
   in
-  (ov, Spans.build (Trace.events trace))
+  (ov, Trace.events trace)
+
+let traced_run run =
+  let ov, events = traced_events run in
+  (ov, Spans.build events)
 
 (* Every app of the paper, small enough for the test suite. *)
 let apps =
@@ -132,28 +136,37 @@ let test_chain_contiguity () =
         (Spans.txns spans))
     both_strategies
 
+(* Batch summary of one app run (the oracle {!Diva_obs.Streaming} is
+   compared against): traffic-profile and cost properties are checked on
+   what [divasim analyze] reports. *)
+let summarized ?num_windows run =
+  let ov, events = traced_events run in
+  (Analysis.summarize ?num_windows ov events, Spans.build events)
+
 (* The critical-path timeline starts at 0 and covers gaps as cpu, so its
    total equals the makespan. *)
 let test_critical_path_covers_makespan () =
-  let ov, spans =
-    traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
+  let s, _ =
+    summarized ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
-  match Analysis.critical_path ov spans with
+  match s.Analysis.sm_critical with
   | None -> Alcotest.fail "no critical path on a traced run"
-  | Some cp ->
-      Alcotest.(check bool) "has transactions" true (cp.Analysis.cp_txns <> []);
+  | Some c ->
+      Alcotest.(check bool) "has transactions" true (c.Analysis.sc_txns > 0);
       Alcotest.(check (float 1e-3))
-        "timeline total = makespan" cp.Analysis.cp_end
-        (Analysis.total_cost cp.Analysis.cp_cost)
+        "timeline total = makespan" c.Analysis.sc_end
+        (Analysis.total_cost c.Analysis.sc_cost)
 
 (* Level rows partition the messages; link-bytes are bytes x crossings. *)
 let test_level_profile_partitions () =
-  let _, spans =
-    traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
+  let s, spans =
+    summarized ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
-  let rows = Analysis.level_profile spans in
+  let rows = s.Analysis.sm_levels in
   let msgs = List.fold_left (fun a r -> a + r.Analysis.lv_msgs) 0 rows in
   Alcotest.(check int) "levels partition msgs" (Spans.num_msgs spans) msgs;
+  Alcotest.(check int) "summary counts the same msgs" s.Analysis.sm_num_msgs
+    msgs;
   let tagged =
     List.exists (fun r -> r.Analysis.lv_level >= 0 && r.Analysis.lv_msgs > 0)
       rows
@@ -163,8 +176,8 @@ let test_level_profile_partitions () =
 (* Window attribution is overlap-proportional, so summed over all windows
    it conserves every occupancy's bytes. *)
 let test_windows_conserve_bytes () =
-  let _, spans =
-    traced_run ((List.assoc "bitonic" apps) Dsm.Fixed_home)
+  let s, spans =
+    summarized ~num_windows:5 ((List.assoc "bitonic" apps) Dsm.Fixed_home)
   in
   let expect =
     List.fold_left
@@ -176,22 +189,21 @@ let test_windows_conserve_bytes () =
     List.fold_left
       (fun a w ->
         List.fold_left (fun a (_, b) -> a +. b) a w.Analysis.w_link_bytes)
-      0.0
-      (Analysis.windows ~n:5 spans)
+      0.0 s.Analysis.sm_windows
   in
+  Alcotest.(check int) "window count" 5 (List.length s.Analysis.sm_windows);
   Alcotest.(check bool) "windowed bytes conserve link traffic" true
     (Float.abs (got -. expect) <= 1e-6 *. Float.max 1.0 expect)
 
 (* The op table groups the same transactions the decomposition walks. *)
 let test_op_table_counts () =
-  let ov, spans =
-    traced_run ((List.assoc "matmul" apps) Dsm.Fixed_home)
-  in
-  let rows = Analysis.op_table ov spans in
+  let s, spans = summarized ((List.assoc "matmul" apps) Dsm.Fixed_home) in
+  let rows = s.Analysis.sm_ops in
   let n = List.fold_left (fun a r -> a + r.Analysis.or_count) 0 rows in
   Alcotest.(check int) "op rows partition txns"
     (List.length (Spans.txns spans))
     n;
+  Alcotest.(check int) "summary counts the same txns" s.Analysis.sm_num_txns n;
   List.iter
     (fun r ->
       Alcotest.(check bool) "mean <= max" true
@@ -200,24 +212,30 @@ let test_op_table_counts () =
 
 (* analysis.json must be valid JSON and round-trip through the parser. *)
 let test_to_json_roundtrip () =
-  let ov, spans =
-    traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
+  let s, _ =
+    summarized ~num_windows:3
+      ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
   let j =
-    Analysis.to_json
+    Analysis.summary_to_json
       ~meta:[ ("app", Diva_obs.Json.String "matmul") ]
-      ~top_k:5 ~num_windows:3 ov spans
+      s
   in
-  let s = Diva_obs.Json.to_string j in
-  match Diva_obs.Json.of_string s with
+  let text = Diva_obs.Json.to_string j in
+  match Diva_obs.Json.of_string text with
   | Error e -> Alcotest.failf "analysis.json does not parse: %s" e
-  | Ok (Diva_obs.Json.Obj fields) ->
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) (k ^ " present") true (List.mem_assoc k fields))
-        [ "app"; "num_txns"; "num_msgs"; "critical_path"; "levels";
-          "top_links"; "windows"; "ops" ]
-  | Ok _ -> Alcotest.fail "analysis.json is not an object"
+  | Ok parsed ->
+      Alcotest.(check string) "re-printing is byte-stable" text
+        (Diva_obs.Json.to_string parsed);
+      (match parsed with
+      | Diva_obs.Json.Obj fields ->
+          List.iter
+            (fun k ->
+              Alcotest.(check bool) (k ^ " present") true
+                (List.mem_assoc k fields))
+            [ "app"; "num_txns"; "num_msgs"; "end_us"; "critical_path";
+              "levels"; "top_links"; "windows"; "ops" ]
+      | _ -> Alcotest.fail "analysis.json is not an object")
 
 let suite =
   [

@@ -7,7 +7,7 @@ module Trace = Diva_obs.Trace
 module Spec = Diva_workload.Spec
 module Sampler = Diva_workload.Sampler
 module Generator = Diva_workload.Generator
-module Dsm_trace = Diva_workload.Dsm_trace
+module Streaming = Diva_obs.Streaming
 module Replay = Diva_workload.Replay
 module Latency = Diva_workload.Latency
 module Prng = Diva_util.Prng
@@ -33,19 +33,52 @@ let check_meas name (a : Runner.measurements) (b : Runner.measurements) =
   Alcotest.(check (float 0.0)) (name ^ ": time") a.Runner.time b.Runner.time;
   Alcotest.(check int) (name ^ ": startups") a.Runner.startups b.Runner.startups
 
-(* Same workload spec + seed => identical trace, twice. *)
+let gcel_overheads =
+  let m = Diva_simnet.Machine.gcel in
+  { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
+    recv_overhead = m.Diva_simnet.Machine.recv_overhead;
+    local_overhead = m.Diva_simnet.Machine.local_overhead }
+
+let with_temp f =
+  let path = Filename.temp_file "diva_record" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let write_text path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let read_ok path =
+  match Replay.read path with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "cannot read %s: %s" path e
+
+(* Record [run]'s DSM access stream the way [--record] does — streamed
+   into a file through {!Replay.recorder} — and return the run's result,
+   the file's text and the recording read back from it. *)
+let recorded ?(app = "test") ?(strategy = "4-ary") ?(params = []) ~dims ~seed
+    run =
+  with_temp (fun path ->
+      let oc = open_out path in
+      let r =
+        Replay.recorder oc
+          (Streaming.make_header ~params ~app ~dims ~strategy ~seed
+             ~overheads:gcel_overheads ())
+      in
+      let result =
+        run { Runner.null_obs with Runner.obs_trace = Trace.stream (Replay.record r) }
+      in
+      close_out oc;
+      (result, read_text path, read_ok path))
+
+(* Same workload spec + seed => identical record, twice. *)
 let test_generator_determinism () =
   let capture () =
-    let sink, obs = traced_obs () in
-    let r = Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec in
-    let t =
-      Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed)
-        (Trace.events sink)
-    in
-    (r, Dsm_trace.to_string t)
+    recorded ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed) (fun obs ->
+        Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec)
   in
-  let r1, t1 = capture () in
-  let r2, t2 = capture () in
+  let r1, t1, _ = capture () in
+  let r2, t2, _ = capture () in
   check_meas "rerun" r1.Generator.measurements r2.Generator.measurements;
   Alcotest.(check string) "identical serialized trace" t1 t2;
   Alcotest.(check bool) "trace is non-trivial" true (String.length t1 > 1000)
@@ -56,36 +89,25 @@ let test_generator_op_count () =
   ignore
     (Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec
       : Generator.result);
-  let t = Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:0 (Trace.events sink) in
-  let data_ops =
-    List.length
-      (List.filter
-         (fun (o : Dsm_trace.op) ->
-           match o.Dsm_trace.o_op with
-           | Trace.Read | Trace.Write -> true
-           | _ -> false)
-         t.Dsm_trace.ops)
-  in
+  let t = Replay.of_events ~dims:[| 4; 4 |] ~seed:0 (Trace.events sink) in
+  let count p = List.length (List.filter p t.Replay.ops) in
   (* 16 procs x 60 ops; lock/unlock/barriers come on top. *)
-  Alcotest.(check int) "data ops" (16 * 60) data_ops;
-  let locks =
-    List.length
-      (List.filter
-         (fun (o : Dsm_trace.op) -> o.Dsm_trace.o_op = Trace.Lock)
-         t.Dsm_trace.ops)
-  in
-  Alcotest.(check int) "locks (every 15th of 60)" (16 * 4) locks
+  Alcotest.(check int) "data ops" (16 * 60)
+    (count (fun o ->
+         match o.Replay.o_op with Trace.Read | Trace.Write -> true | _ -> false));
+  Alcotest.(check int) "locks (every 15th of 60)" (16 * 4)
+    (count (fun o -> o.Replay.o_op = Trace.Lock))
 
-(* Capturing a matmul run and replaying it closed-loop under the same
-   strategy and seed reproduces the original Link_stats totals exactly. *)
+(* Recording a matmul run to a file and replaying it closed-loop under the
+   same strategy and seed reproduces the original Link_stats totals
+   exactly. *)
 let replay_roundtrip strategy =
-  let sink, obs = traced_obs () in
-  let m0 =
-    Runner.run_matmul ~seed:17 ~obs ~rows:4 ~cols:4 ~block:64
-      (Runner.Strategy strategy)
+  let m0, _, t =
+    recorded ~dims:[| 4; 4 |] ~seed:17 (fun obs ->
+        Runner.run_matmul ~seed:17 ~obs ~rows:4 ~cols:4 ~block:64
+          (Runner.Strategy strategy))
   in
-  let t = Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:17 (Trace.events sink) in
-  Alcotest.(check int) "all vars declared" 16 (List.length t.Dsm_trace.decls);
+  Alcotest.(check int) "all vars declared" 16 (List.length t.Replay.decls);
   let r = Replay.run ~mode:Replay.Closed_loop ~strategy t in
   check_meas "replay" m0 r.Generator.measurements
 
@@ -95,11 +117,9 @@ let test_replay_matmul_fixed_home () = replay_roundtrip Diva_core.Dsm.Fixed_home
 (* Replay of a synthetic workload is also exact: the generator's fibers do
    no untraced work, so the closed-loop replay is the same program. *)
 let test_replay_synthetic () =
-  let sink, obs = traced_obs () in
-  let r0 = Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec in
-  let t =
-    Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed)
-      (Trace.events sink)
+  let r0, _, t =
+    recorded ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed) (fun obs ->
+        Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec)
   in
   let r = Replay.run ~strategy:strategy_4ary t in
   check_meas "synthetic replay" r0.Generator.measurements r.Generator.measurements;
@@ -116,7 +136,7 @@ let test_open_loop_slower () =
   ignore
     (Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary spec
       : Generator.result);
-  let t = Dsm_trace.of_events ~dims:[| 2; 2 |] ~seed:7 (Trace.events sink) in
+  let t = Replay.of_events ~dims:[| 2; 2 |] ~seed:7 (Trace.events sink) in
   let closed = Replay.run ~mode:Replay.Closed_loop ~strategy:strategy_4ary t in
   let open_ = Replay.run ~mode:Replay.Open_loop ~strategy:strategy_4ary t in
   Alcotest.(check bool)
@@ -130,64 +150,115 @@ let test_open_loop_slower () =
   Alcotest.(check bool) "open >= recorded duration" true
     (open_.Generator.measurements.Runner.time
     >= List.fold_left
-         (fun acc (o : Dsm_trace.op) -> Float.max acc o.Dsm_trace.o_ts)
-         0.0 t.Dsm_trace.ops)
+         (fun acc (o : Replay.op) -> Float.max acc o.Replay.o_ts)
+         0.0 t.Replay.ops)
 
-(* Serialization round-trips through text and through a file. *)
+(* One run, three views of its DSM stream: the in-memory event list, the
+   DSM-only record file and the full --events file must all yield the same
+   recording, and the record holds nothing but declarations and accesses. *)
 let test_trace_roundtrip () =
-  let sink, obs = traced_obs () in
-  ignore
-    (Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary small_spec
-      : Generator.result);
-  let t =
-    Dsm_trace.of_events ~dims:[| 2; 2 |] ~seed:5
-      ~meta:[ ("app", "workload"); ("strategy", "4-ary") ]
-      (Trace.events sink)
-  in
-  let s = Dsm_trace.to_string t in
-  (match Dsm_trace.of_string s with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-      Alcotest.(check string) "text round-trip" s (Dsm_trace.to_string t');
-      Alcotest.(check (list (pair string string))) "meta" t.Dsm_trace.meta
-        t'.Dsm_trace.meta;
-      Alcotest.(check int) "ops" (List.length t.Dsm_trace.ops)
-        (List.length t'.Dsm_trace.ops));
-  let path = Filename.temp_file "diva_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dsm_trace.write path t;
-      (match Dsm_trace.probe path with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("probe: " ^ e));
-      match Dsm_trace.read path with
-      | Error e -> Alcotest.fail e
-      | Ok t' ->
-          Alcotest.(check string) "file round-trip" s (Dsm_trace.to_string t'))
+  with_temp (fun events_path ->
+      let events_oc = open_out events_path in
+      let header =
+        Streaming.make_header ~app:"workload" ~dims:[| 2; 2 |]
+          ~strategy:"4-ary" ~seed:5 ~overheads:gcel_overheads ()
+      in
+      let full = Streaming.file_sink events_oc header in
+      let (_, text, from_record), buffered =
+        let buffered = ref [] in
+        let r =
+          recorded ~app:"workload" ~dims:[| 2; 2 |] ~seed:5 (fun obs ->
+              let sink =
+                Trace.with_listener obs.Runner.obs_trace (fun e ->
+                    buffered := e :: !buffered;
+                    Trace.emit full e)
+              in
+              Generator.run ~obs:{ obs with Runner.obs_trace = sink }
+                ~dims:[| 2; 2 |] ~strategy:strategy_4ary small_spec)
+        in
+        (r, List.rev !buffered)
+      in
+      close_out events_oc;
+      let in_memory = Replay.of_events ~dims:[| 2; 2 |] ~seed:5 buffered in
+      Alcotest.(check bool) "record file = in-memory projection" true
+        (from_record = in_memory);
+      Alcotest.(check bool) "full event trace replays the same stream" true
+        (read_ok events_path = in_memory);
+      Alcotest.(check int) "one line per decl and op, plus the header"
+        (1 + List.length in_memory.Replay.decls
+        + List.length in_memory.Replay.ops)
+        (List.length (String.split_on_char '\n' (String.trim text)));
+      match String.split_on_char '\n' text with
+      | h :: _ -> (
+          match Streaming.parse_header h with
+          | Ok h ->
+              Alcotest.(check bool) "record header is DSM-only" true
+                (Streaming.is_dsm_only h);
+              Alcotest.(check bool) "events header is not" false
+                (Streaming.is_dsm_only header)
+          | Error e -> Alcotest.fail e)
+      | [] -> Alcotest.fail "empty record")
 
-let test_trace_errors () =
-  let fails = function
-    | Error (_ : string) -> ()
-    | Ok (_ : Dsm_trace.t) -> Alcotest.fail "expected an error"
-  in
-  fails (Dsm_trace.of_string "");
-  fails (Dsm_trace.of_string "{\"format\":\"something-else\",\"version\":1}");
-  fails
-    (Dsm_trace.of_string
-       "{\"format\":\"diva-dsm-trace\",\"version\":99,\"dims\":[2,2],\"seed\":1}");
-  fails (Dsm_trace.of_string "not json at all");
-  (match
-     Dsm_trace.of_string
-       "{\"format\":\"diva-dsm-trace\",\"version\":99,\"dims\":[2,2],\"seed\":1}"
-   with
+let expect_error ~what ~needles = function
+  | Ok _ -> Alcotest.failf "%s: expected an error" what
   | Error e ->
-      Alcotest.(check bool) "version error names the version" true
-        (String.contains e '9')
-  | Ok _ -> Alcotest.fail "expected version error");
-  match Dsm_trace.probe "/nonexistent/trace.jsonl" with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "probe of missing file succeeded"
+      List.iter
+        (fun needle ->
+          let n = String.length needle and m = String.length e in
+          let rec found i =
+            i + n <= m && (String.sub e i n = needle || found (i + 1))
+          in
+          if not (found 0) then
+            Alcotest.failf "%s: error %S does not mention %S" what e needle)
+        needles
+
+(* A record that fails to load names the file and the offending line; a
+   file in the retired diva-dsm-trace format says to re-record it. *)
+let test_trace_errors () =
+  let _, text, _ =
+    recorded ~dims:[| 2; 2 |] ~seed:5 (fun obs ->
+        Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary small_spec)
+  in
+  with_temp (fun path ->
+      let lines = String.split_on_char '\n' text in
+      let keep = List.filteri (fun i _ -> i < 30) lines in
+      let line31 = List.nth lines 30 in
+      write_text path
+        (String.concat "\n" keep ^ "\n"
+        ^ String.sub line31 0 (String.length line31 / 2));
+      expect_error ~what:"truncated record" ~needles:[ path; "line 31" ]
+        (Replay.read path);
+      write_text path
+        "{\"format\":\"diva-dsm-trace\",\"version\":1,\"dims\":[4,4],\"seed\":11}\n";
+      expect_error ~what:"old format" ~needles:[ path; "diva-dsm-trace"; "--record" ]
+        (Replay.read path);
+      expect_error ~what:"old format probe" ~needles:[ "diva-dsm-trace"; "--record" ]
+        (Streaming.probe path);
+      write_text path "{\"format\":\"something-else\",\"version\":1}\n";
+      expect_error ~what:"foreign format" ~needles:[ "something-else" ]
+        (Replay.read path);
+      write_text path
+        "{\"format\":\"diva-event-trace\",\"version\":99,\"dims\":[2,2]}\n";
+      expect_error ~what:"future version" ~needles:[ "99" ] (Replay.read path);
+      write_text path "not json at all\n";
+      expect_error ~what:"not json" ~needles:[ path ] (Replay.read path);
+      write_text path "";
+      expect_error ~what:"empty" ~needles:[ "empty" ] (Replay.read path));
+  expect_error ~what:"missing file" ~needles:[ "no such file" ]
+    (Replay.read "/nonexistent/trace.jsonl")
+
+(* A record carries no messages: offline analysis must refuse it instead
+   of reporting an empty run. *)
+let test_offline_refuses_record () =
+  let _, text, _ =
+    recorded ~dims:[| 2; 2 |] ~seed:5 (fun obs ->
+        Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary small_spec)
+  in
+  with_temp (fun path ->
+      write_text path text;
+      expect_error ~what:"offline analysis of a record"
+        ~needles:[ path; "DSM events only" ]
+        (Streaming.analyze_file path))
 
 (* Zipf sampling: rank-0 keys dominate more as the exponent grows; uniform
    sampling covers the key space evenly. *)
@@ -344,43 +415,49 @@ let test_latency_report () =
   Alcotest.(check bool) "fields carry p99" true
     (List.mem_assoc "lat_p99_us" fields)
 
-(* Golden-trace regression: the committed JSONL trace in test/data must be
-   reproduced byte for byte by today's generator, and replay it
-   deterministically. Regenerate with
+(* Golden-trace regression: the committed record in test/data must be
+   reproduced byte for byte by today's generator, and its closed-loop
+   4-ary replay must give the pinned measurements — which also proves the
+   record holds every declaration and operation. Regenerate with
      divasim workload --mesh 4x4 --strategy 4-ary --vars 32 --var-size 32 \
        --ops 40 --read-ratio 0.8 --lock-every 8 --seed 11 --record FILE
    if an intentional behaviour change invalidates it. *)
 let golden_path = "data/golden_workload_4x4.jsonl"
 
 let test_golden_trace () =
-  let golden = In_channel.with_open_bin golden_path In_channel.input_all in
   let spec =
     Spec.make ~num_vars:32 ~var_size:32 ~lock_every:8
       ~phases:[ Spec.phase ~read_ratio:0.8 40 ]
       ~seed:11 ()
   in
-  let sink, obs = traced_obs () in
-  ignore
-    (Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary spec
-      : Generator.result);
-  let t =
-    Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:11
-      ~meta:
-        [ ("app", "workload");
-          ("strategy", Diva_core.Dsm.strategy_name strategy_4ary) ]
-      (Trace.events sink)
+  let _, text, _ =
+    recorded ~app:"workload"
+      ~strategy:(Diva_core.Dsm.strategy_name strategy_4ary)
+      ~params:(Spec.to_params spec) ~dims:[| 4; 4 |] ~seed:11
+      (fun obs ->
+        Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary spec)
   in
   Alcotest.(check string) "regenerated trace matches the committed golden"
-    golden (Dsm_trace.to_string t);
-  let tr =
-    match Dsm_trace.read golden_path with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "cannot read golden trace: %s" e
-  in
+    (read_text golden_path) text;
+  let tr = read_ok golden_path in
+  Alcotest.(check int) "ops" 816 (List.length tr.Replay.ops);
+  Alcotest.(check int) "vars" 32 (List.length tr.Replay.decls);
+  (* As [divasim workload --replay FILE --strategy 4-ary] runs it: the
+     CLI's default --seed 17, not the recorded seed 11. *)
   let replay () =
-    (Replay.run ~strategy:strategy_4ary tr).Generator.measurements
+    (Replay.run ~seed:17 ~mode:Replay.Closed_loop ~strategy:strategy_4ary tr)
+      .Generator.measurements
   in
-  check_meas "golden replay deterministic" (replay ()) (replay ())
+  let m = replay () in
+  check_meas "golden replay deterministic" m (replay ());
+  Alcotest.(check int) "total msgs" 5792 m.Runner.total_msgs;
+  Alcotest.(check int) "total bytes" 144224 m.Runner.total_bytes;
+  Alcotest.(check int) "congestion msgs" 158 m.Runner.congestion_msgs;
+  Alcotest.(check int) "congestion bytes" 4192 m.Runner.congestion_bytes;
+  Alcotest.(check int) "startups" 3060 m.Runner.startups;
+  Alcotest.(check int) "reads" 503 m.Runner.dsm_reads;
+  Alcotest.(check int) "read hits" 103 m.Runner.dsm_read_hits;
+  Alcotest.(check (float 0.0)) "time" 552618.5 m.Runner.time
 
 let suite =
   [
@@ -399,6 +476,8 @@ let suite =
     Alcotest.test_case "trace round-trip (text + file)" `Quick
       test_trace_roundtrip;
     Alcotest.test_case "trace error reporting" `Quick test_trace_errors;
+    Alcotest.test_case "offline analysis refuses a record" `Quick
+      test_offline_refuses_record;
     Alcotest.test_case "sampler zipf skew" `Quick test_sampler_zipf_skew;
     Alcotest.test_case "sampler hot-cold" `Quick test_sampler_hot_cold;
     Alcotest.test_case "sampler locality" `Quick test_sampler_locality;
