@@ -38,6 +38,13 @@ let () =
   List.iter (Trace.emit sink) (Trace.events tr);
   close_out oc;
   Printf.printf "wrote %s (%d events)\n" path (Trace.count tr);
+  let write_golden path header tr =
+    let oc = open_out_bin path in
+    let sink = Streaming.file_sink oc header in
+    List.iter (Trace.emit sink) (Trace.events tr);
+    close_out oc;
+    Printf.printf "wrote %s (%d events)\n" path (Trace.count tr)
+  in
   (* One golden event trace per strategy-zoo contender, same fixed matmul
      run; the byte tests in test_golden_strategies.ml replay these. The
      header names the registry entry, not the display name. *)
@@ -64,10 +71,44 @@ let () =
               local_overhead = m.Diva_simnet.Machine.local_overhead }
           ()
       in
-      let path = Printf.sprintf "test/data/golden_events_2x2_%s.jsonl" name in
-      let oc = open_out_bin path in
-      let sink = Streaming.file_sink oc header in
-      List.iter (Trace.emit sink) (Trace.events tr);
-      close_out oc;
-      Printf.printf "wrote %s (%d events)\n" path (Trace.count tr))
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ]
+      write_golden
+        (Printf.sprintf "test/data/golden_events_2x2_%s.jsonl" name)
+        header tr)
+    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ];
+  (* Two access-tree paths the matmul goldens barely reach, on a hot-spot
+     synthetic load (two shared keys, every processor reading them): read
+     replies fanning out in several directions at once, and remapping
+     (state moves and placement overrides). Must match the scenarios in
+     test_golden_strategies.ml. *)
+  let spec =
+    Diva_workload.Spec.make ~num_vars:2 ~var_size:32
+      ~phases:[ Diva_workload.Spec.phase ~read_ratio:0.9 8 ]
+      ~seed:5 ()
+  in
+  List.iter
+    (fun (label, strategy) ->
+      let tr = Trace.create () in
+      ignore
+        (Diva_workload.Generator.run
+           ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
+           ~dims:[| 4; 4 |] ~strategy spec);
+      let header =
+        Streaming.make_header
+          ~params:(Diva_workload.Spec.to_params spec)
+          ~app:"workload" ~dims:[| 4; 4 |]
+          ~strategy:(Diva_core.Dsm.strategy_name strategy)
+          ~seed:spec.Diva_workload.Spec.seed
+          ~overheads:
+            { Diva_obs.Analysis.send_overhead =
+                m.Diva_simnet.Machine.send_overhead;
+              recv_overhead = m.Diva_simnet.Machine.recv_overhead;
+              local_overhead = m.Diva_simnet.Machine.local_overhead }
+          ()
+      in
+      write_golden
+        (Printf.sprintf "test/data/golden_events_4x4_%s.jsonl" label)
+        header tr)
+    [
+      ("contended", Diva_core.Dsm.access_tree ~arity:4 ());
+      ("remap", Diva_core.Dsm.access_tree ~arity:2 ~remap_threshold:8 ());
+    ]
