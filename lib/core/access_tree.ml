@@ -19,10 +19,11 @@ type body =
 type Network.payload +=
   | At of { var_id : int; from : int; tnode : int; body : body }
 
-(* Per-(variable, tree-node) protocol state. Created lazily: a missing
-   entry means the node has never been touched, in which case its copy flag
-   and its pointers are derivable from the variable's initial owner. *)
+(* Per-(variable, tree-node) protocol state. Created lazily: an untouched
+   node holds the shared [vacant] record, and its copy flag and pointers
+   are derivable from the variable's initial owner. *)
 type tstate = {
+  mutable place : int;  (* mesh node hosting the tree node; remapping moves it *)
   mutable has_copy : bool;
   mutable toward : int;  (* neighbour toward the copy component; -1 = copy *)
   mutable comp_edges : int list;  (* neighbours believed to be in the component *)
@@ -38,7 +39,20 @@ type tstate = {
   mutable last_use : int;  (* LRU tick *)
   mutable use_count : int;  (* lifetime touches, for frequency eviction *)
   mutable traffic : int;  (* messages served, for the remapping variant *)
+  mutable readers : (Value.t -> unit) list;  (* leaf: waiting reads, newest first *)
+  mutable lock_k : unit -> unit;  (* leaf: pending lock's continuation *)
 }
+
+let no_lock_waiter () = assert false
+
+(* The placeholder of every untouched slot. Never mutated: [get_state]
+   replaces it before any write. *)
+let vacant =
+  { place = -1; has_copy = false; toward = -1; comp_edges = [];
+    read_pending = false; parked = []; inv_waiting = 0; inv_pred = -1;
+    tok_toward = -1; lqueue = []; lasked = false; locked = false;
+    last_use = 0; use_count = 0; traffic = 0; readers = [];
+    lock_k = no_lock_waiter }
 
 (* Queued operations remember the causal transaction that issued them:
    they are dequeued from inside some other transaction's handler, and
@@ -63,13 +77,12 @@ type wtxn = {
    other and against in-flight reads; cache hits bypass this entirely. *)
 type ctl = {
   var : Types.var;
+  slab : tstate array;  (* by preorder tree-node id; [vacant] = untouched *)
   mutable ncopies : int;
   mutable reading : int;  (* read transactions in flight *)
   mutable writing : bool;
   pending : op Queue.t;
   mutable wtxn : wtxn option;
-  readers : (int, (Value.t -> unit) list) Hashtbl.t;  (* origin leaf -> ks *)
-  mutable touched : int list;  (* materialised state keys, for [retire] *)
   mutable pushes : int;  (* speculative Rpush messages in flight *)
   mutable retired : bool;  (* retire deferred until the pushes land *)
 }
@@ -84,14 +97,10 @@ type t = {
   eviction : Strategy.eviction;
   prefetch : bool;
   remap_rng : Diva_util.Prng.t;
-  placement_override : (int, int) Hashtbl.t;  (* state key -> mesh node *)
-  placement_cache : (int, int) Hashtbl.t;  (* state key -> default placement *)
   mutable remap_count : int;
-  vars : (int, ctl) Hashtbl.t;
-  states : (int, tstate) Hashtbl.t;  (* var_id * num_tree_nodes + tnode *)
-  lock_waiters : (int, unit -> unit) Hashtbl.t;  (* same key, at leaves *)
+  mutable vars : ctl option array;  (* by variable id; [None] = untouched or retired *)
   mem_used : int array;  (* bytes per processor, only if capacity is set *)
-  held : (int, unit) Hashtbl.t array;  (* per processor: state keys of copies *)
+  held : (int, unit) Hashtbl.t array;  (* per processor: [key]s of copies *)
   mutable lru_tick : int;
   mutable eviction_count : int;
 }
@@ -108,12 +117,8 @@ let create net deco ~embedding ?capacity ?(combining = true) ?remap_threshold
     eviction;
     prefetch;
     remap_rng = Diva_util.Prng.split (Network.rng net);
-    placement_override = Hashtbl.create 64;
-    placement_cache = Hashtbl.create 4096;
     remap_count = 0;
-    vars = Hashtbl.create 1024;
-    states = Hashtbl.create 4096;
-    lock_waiters = Hashtbl.create 64;
+    vars = Array.make 1024 None;
     mem_used = Array.make (Network.num_nodes net) 0;
     held =
       (match capacity with
@@ -123,84 +128,84 @@ let create net deco ~embedding ?capacity ?(combining = true) ?remap_threshold
     eviction_count = 0;
   }
 
+(* Capacity-registry key of a (variable, tree node) pair. *)
 let key t var_id tnode = (var_id * t.deco.Deco.num_tree_nodes) + tnode
 
-(* Placement is consulted on every protocol message (twice per
-   [send_tree]), but [Embedding.place_lazy] recomputes the embedding rule
-   recursively from the tree root — for the regular rule that is one
-   coordinate-array round-trip per ancestor level, per call. Memoize the
-   (deterministic) default placement per state key; remapping overrides
-   still take precedence and are checked first. *)
-let place t (var : Types.var) tnode =
-  let k = key t var.Types.id tnode in
-  if Hashtbl.length t.placement_override > 0 && Hashtbl.mem t.placement_override k
-  then Hashtbl.find t.placement_override k
-  else
-    match Hashtbl.find t.placement_cache k with
-    | p -> p
-    | exception Not_found ->
-        let p = Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode in
-        Hashtbl.add t.placement_cache k p;
-        p
 let leaf t p = t.deco.Deco.leaf_of_proc.(p)
 
+let find_ctl t id = if id < Array.length t.vars then t.vars.(id) else None
+
 let get_ctl t (var : Types.var) =
-  match Hashtbl.find t.vars var.Types.id with
-  | c -> c
-  | exception Not_found ->
+  match find_ctl t var.Types.id with
+  | Some c -> c
+  | None ->
+      let id = var.Types.id in
+      if id >= Array.length t.vars then begin
+        let vars = Array.make (max (id + 1) (2 * Array.length t.vars)) None in
+        Array.blit t.vars 0 vars 0 (Array.length t.vars);
+        t.vars <- vars
+      end;
       let c =
-        { var; ncopies = 1; reading = 0; writing = false;
-          pending = Queue.create (); wtxn = None; readers = Hashtbl.create 2;
-          touched = []; pushes = 0; retired = false }
+        { var; slab = Array.make t.deco.Deco.num_tree_nodes vacant; ncopies = 1;
+          reading = 0; writing = false; pending = Queue.create (); wtxn = None;
+          pushes = 0; retired = false }
       in
-      Hashtbl.add t.vars var.Types.id c;
+      t.vars.(id) <- Some c;
       c
 
+(* [Embedding.place_lazy] recomputes the embedding rule from the tree
+   root, so it runs once per touched node, when the node materialises. *)
 let get_state t (ctl : ctl) tnode =
-  let k = key t ctl.var.Types.id tnode in
-  match Hashtbl.find t.states k with
-  | s -> s
-  | exception Not_found ->
-      let owner_leaf = leaf t ctl.var.Types.owner in
-      let is_home = tnode = owner_leaf in
-      let toward =
-        if is_home then -1 else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
-      in
-      let s =
-        { has_copy = is_home; toward; comp_edges = []; read_pending = false;
-          parked = []; inv_waiting = 0; inv_pred = -1; tok_toward = toward;
-          lqueue = []; lasked = false; locked = false; last_use = 0;
-          use_count = 0; traffic = 0 }
-      in
-      Hashtbl.add t.states k s;
-      ctl.touched <- k :: ctl.touched;
-      s
+  let s = ctl.slab.(tnode) in
+  if s != vacant then s
+  else begin
+    let owner_leaf = leaf t ctl.var.Types.owner in
+    let is_home = tnode = owner_leaf in
+    let toward =
+      if is_home then -1 else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
+    in
+    let s =
+      { place = Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode;
+        has_copy = is_home; toward; comp_edges = []; read_pending = false;
+        parked = []; inv_waiting = 0; inv_pred = -1; tok_toward = toward;
+        lqueue = []; lasked = false; locked = false; last_use = 0;
+        use_count = 0; traffic = 0; readers = []; lock_k = no_lock_waiter }
+    in
+    ctl.slab.(tnode) <- s;
+    s
+  end
+
+(* Read-only: an untouched node sits at its default placement. *)
+let place t (var : Types.var) tnode =
+  match find_ctl t var.Types.id with
+  | Some ctl when ctl.slab.(tnode) != vacant -> ctl.slab.(tnode).place
+  | _ -> Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode
 
 let touch t st =
   t.lru_tick <- t.lru_tick + 1;
   st.last_use <- t.lru_tick;
   st.use_count <- st.use_count + 1
 
-let trace_copy_add t (ctl : ctl) tnode =
+let trace_copy_add t (ctl : ctl) tnode st =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_add
-         { ts = Network.now t.net; node = place t ctl.var tnode;
+         { ts = Network.now t.net; node = st.place;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode) })
 
-let trace_copy_drop t (ctl : ctl) tnode reason =
+let trace_copy_drop t (ctl : ctl) tnode st reason =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_drop
-         { ts = Network.now t.net; node = place t ctl.var tnode;
+         { ts = Network.now t.net; node = st.place;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode); reason })
 
 let send_tree t (ctl : ctl) ~from ~tnode ~size body =
-  let src = place t ctl.var from and dst = place t ctl.var tnode in
+  let src = (get_state t ctl from).place and dst = (get_state t ctl tnode).place in
   Network.tag_level t.net t.deco.Deco.depth.(tnode);
   Network.send t.net ~src ~dst ~size
     (At { var_id = ctl.var.Types.id; from; tnode; body })
@@ -237,26 +242,24 @@ let score t st =
   | Strategy.Freq -> (st.use_count, st.last_use)
 
 let evict t proc =
+  let nt = t.deco.Deco.num_tree_nodes in
   let best = ref None in
   Hashtbl.iter
     (fun k () ->
-      match Hashtbl.find_opt t.states k with
-      | None -> ()
-      | Some st ->
-          if st.has_copy then begin
-            let var_id = k / t.deco.Deco.num_tree_nodes in
-            match Hashtbl.find_opt t.vars var_id with
-            | Some ctl when evictable t ctl st -> (
-                match !best with
-                | Some (_, _, _, sc) when sc <= score t st -> ()
-                | _ -> best := Some (k, ctl, st, score t st))
-            | _ -> ()
-          end)
+      match find_ctl t (k / nt) with
+      | Some ctl ->
+          let st = ctl.slab.(k mod nt) in
+          if st.has_copy && evictable t ctl st then begin
+            match !best with
+            | Some (_, _, _, sc) when sc <= score t st -> ()
+            | _ -> best := Some (k, ctl, st, score t st)
+          end
+      | None -> ())
     t.held.(proc);
   match !best with
   | None -> false
   | Some (k, ctl, st, _) ->
-      trace_copy_drop t ctl (k mod t.deco.Deco.num_tree_nodes) Trace.Evicted;
+      trace_copy_drop t ctl (k mod nt) st Trace.Evicted;
       st.has_copy <- false;
       st.toward <- (match st.comp_edges with e :: _ -> e | [] -> assert false);
       st.comp_edges <- [];
@@ -266,11 +269,11 @@ let evict t proc =
       t.eviction_count <- t.eviction_count + 1;
       true
 
-let account_copy t (ctl : ctl) tnode =
+let account_copy t (ctl : ctl) tnode st =
   match t.capacity with
   | None -> ()
   | Some cap ->
-      let proc = place t ctl.var tnode in
+      let proc = st.place in
       t.mem_used.(proc) <- t.mem_used.(proc) + ctl.var.Types.data_size;
       Hashtbl.replace t.held.(proc) (key t ctl.var.Types.id tnode) ();
       let continue = ref true in
@@ -278,11 +281,11 @@ let account_copy t (ctl : ctl) tnode =
         continue := evict t proc
       done
 
-let unaccount_copy t (ctl : ctl) tnode =
+let unaccount_copy t (ctl : ctl) tnode st =
   match t.capacity with
   | None -> ()
   | Some _ ->
-      let proc = place t ctl.var tnode in
+      let proc = st.place in
       t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
       Hashtbl.remove t.held.(proc) (key t ctl.var.Types.id tnode)
 
@@ -292,16 +295,16 @@ let add_copy t ctl tnode st =
     st.toward <- -1;
     ctl.ncopies <- ctl.ncopies + 1;
     touch t st;
-    trace_copy_add t ctl tnode;
-    account_copy t ctl tnode
+    trace_copy_add t ctl tnode st;
+    account_copy t ctl tnode st
   end
 
 let remove_copy t ctl tnode st =
   if st.has_copy then begin
     st.has_copy <- false;
     ctl.ncopies <- ctl.ncopies - 1;
-    trace_copy_drop t ctl tnode Trace.Invalidated;
-    unaccount_copy t ctl tnode
+    trace_copy_drop t ctl tnode st Trace.Invalidated;
+    unaccount_copy t ctl tnode st
   end
 
 let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb :: st.comp_edges
@@ -310,11 +313,11 @@ let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb
 (* Transaction gating                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let complete_reads _t ctl tnode =
-  match Hashtbl.find_opt ctl.readers tnode with
-  | None -> ()
-  | Some ks ->
-      Hashtbl.remove ctl.readers tnode;
+let complete_reads ctl st =
+  match st.readers with
+  | [] -> ()
+  | ks ->
+      st.readers <- [];
       ctl.reading <- ctl.reading - List.length ks;
       let v = ctl.var.Types.value in
       List.iter (fun k -> k v) (List.rev ks)
@@ -340,12 +343,11 @@ let rec process_queue t ctl =
 and start_read t ctl p k =
   ctl.reading <- ctl.reading + 1;
   let origin = leaf t p in
-  let ks = Option.value ~default:[] (Hashtbl.find_opt ctl.readers origin) in
-  Hashtbl.replace ctl.readers origin (k :: ks);
   let st = get_state t ctl origin in
+  st.readers <- k :: st.readers;
   if st.has_copy then begin
     touch t st;
-    complete_reads t ctl origin;
+    complete_reads ctl st;
     process_queue t ctl
   end
   else if st.read_pending then
@@ -447,29 +449,37 @@ let rec on_rrep ?(push = true) t ctl ~from ~tnode ~origins =
   add_edge st from;
   st.read_pending <- false;
   let targets =
-    List.filter (fun o -> o <> tnode) (origins @ st.parked)
+    List.filter (fun o -> o <> tnode)
+      (match st.parked with [] -> origins | parked -> origins @ parked)
   in
   st.parked <- [];
-  (* Multicast along tree branches: one message per distinct direction. *)
-  let groups = Hashtbl.create 4 in
-  List.iter
-    (fun o ->
+  (match targets with
+  | [] -> ()
+  | [ o ] ->
       let nxt = Deco.next_hop t.deco ~from:tnode ~target:o in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt groups nxt) in
-      Hashtbl.replace groups nxt (o :: cur))
-    targets;
-  Hashtbl.iter
-    (fun nxt os ->
       add_edge st nxt;
-      send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = os }))
-    groups;
+      send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = targets })
+  | _ ->
+      (* Multicast along tree branches: one message per distinct direction. *)
+      let groups = Hashtbl.create 4 in
+      List.iter
+        (fun o ->
+          let nxt = Deco.next_hop t.deco ~from:tnode ~target:o in
+          let cur = Option.value ~default:[] (Hashtbl.find_opt groups nxt) in
+          Hashtbl.replace groups nxt (o :: cur))
+        targets;
+      Hashtbl.iter
+        (fun nxt os ->
+          add_edge st nxt;
+          send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = os }))
+        groups);
   (* Speculative pushes before completions: the pushes take their reading
      slots while no resumed fiber can have issued a write yet. Only reply
      path nodes push (a pushed copy does not push further), bounding the
      speculation to one level beyond the paths actually walked. *)
   if push && t.prefetch then prefetch_children t ctl tnode st;
   (* Completions last: they may resume fibers that issue new operations. *)
-  complete_reads t ctl tnode;
+  complete_reads ctl st;
   process_queue t ctl
 
 (* A speculative copy lands: exactly a reply with no origins to serve
@@ -486,19 +496,15 @@ and on_rpush t ctl ~from ~tnode =
   else on_rrep ~push:false t ctl ~from ~tnode ~origins:[]
 
 and finish_retire t ctl =
-  List.iter
-    (fun k ->
-      (match (t.capacity, Hashtbl.find_opt t.states k) with
-      | Some _, Some st when st.has_copy ->
-          let tnode = k mod t.deco.Deco.num_tree_nodes in
-          let proc = place t ctl.var tnode in
-          t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-          Hashtbl.remove t.held.(proc) k
-      | _ -> ());
-      Hashtbl.remove t.placement_override k;
-      Hashtbl.remove t.states k)
-    ctl.touched;
-  Hashtbl.remove t.vars ctl.var.Types.id
+  if t.capacity <> None then
+    Array.iteri
+      (fun tnode st ->
+        if st.has_copy then begin
+          t.mem_used.(st.place) <- t.mem_used.(st.place) - ctl.var.Types.data_size;
+          Hashtbl.remove t.held.(st.place) (key t ctl.var.Types.id tnode)
+        end)
+      ctl.slab;
+  t.vars.(ctl.var.Types.id) <- None
 
 let on_wreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
@@ -566,11 +572,9 @@ let rec assign_privilege t ctl tnode =
     st.lasked <- false;
     if next = tnode then begin
       st.locked <- true;
-      match Hashtbl.find_opt t.lock_waiters (key t ctl.var.Types.id tnode) with
-      | Some k ->
-          Hashtbl.remove t.lock_waiters (key t ctl.var.Types.id tnode);
-          k ()
-      | None -> assert false
+      let k = st.lock_k in
+      st.lock_k <- no_lock_waiter;
+      k ()
     end
     else begin
       st.tok_toward <- next;
@@ -602,7 +606,7 @@ let lock t p var ~k =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
   let st = get_state t ctl tnode in
-  Hashtbl.replace t.lock_waiters (key t var.Types.id tnode) k;
+  st.lock_k <- k;
   st.lqueue <- st.lqueue @ [ tnode ];
   assign_privilege t ctl tnode;
   make_request t ctl tnode
@@ -668,7 +672,7 @@ let maybe_remap t (ctl : ctl) tnode =
             sm.Deco.origin
         in
         let fresh = Mesh.node_at_nd mesh coords in
-        let old = place t ctl.var tnode in
+        let old = st.place in
         if fresh <> old then begin
           (* Move the node's state (and copy, if any). *)
           let size =
@@ -682,7 +686,7 @@ let maybe_remap t (ctl : ctl) tnode =
               t.mem_used.(fresh) <- t.mem_used.(fresh) + ctl.var.Types.data_size;
               Hashtbl.replace t.held.(fresh) k ()
           | _ -> ());
-          Hashtbl.replace t.placement_override (key t ctl.var.Types.id tnode) fresh;
+          st.place <- fresh;
           t.remap_count <- t.remap_count + 1;
           let tr = Network.trace t.net in
           if Trace.enabled tr then
@@ -702,10 +706,9 @@ let handle t (msg : Network.msg) =
   match msg.Network.m_payload with
   | At { var_id; from; tnode; body } ->
       let ctl =
-        match Hashtbl.find t.vars var_id with
-        | c -> c
-        | exception Not_found ->
-            failwith "Access_tree.handle: message for unknown variable"
+        match find_ctl t var_id with
+        | Some c -> c
+        | None -> failwith "Access_tree.handle: message for unknown variable"
       in
       (match body with
       | Rreq { origin } -> on_rreq t ctl ~tnode ~origin
@@ -724,25 +727,26 @@ let handle t (msg : Network.msg) =
 
 let ncopies t var = (get_ctl t var).ncopies
 
-let copy_holders t var =
-  let acc = ref [] in
-  let nt = t.deco.Deco.num_tree_nodes in
-  Hashtbl.iter
-    (fun k st -> if st.has_copy && k / nt = var.Types.id then acc := (k mod nt) :: !acc)
-    t.states;
-  (* The initial owner's leaf may never have been materialised. *)
+(* Read-only: untouched slots hold their implicit state (a copy only at
+   the initial owner's leaf). *)
+let copy_holders t (var : Types.var) =
   let owner_leaf = leaf t var.Types.owner in
-  if
-    (not (Hashtbl.mem t.states (key t var.Types.id owner_leaf)))
-    && not (List.mem owner_leaf !acc)
-  then acc := owner_leaf :: !acc;
-  List.sort compare !acc
+  match find_ctl t var.Types.id with
+  | None -> [ owner_leaf ]
+  | Some ctl ->
+      let acc = ref [] in
+      for tnode = Array.length ctl.slab - 1 downto 0 do
+        let st = ctl.slab.(tnode) in
+        if (st == vacant && tnode = owner_leaf) || st.has_copy then
+          acc := tnode :: !acc
+      done;
+      !acc
 
 let evictions t = t.eviction_count
 let remaps t = t.remap_count
 
 let retire t (var : Types.var) =
-  match Hashtbl.find_opt t.vars var.Types.id with
+  match find_ctl t var.Types.id with
   | None -> ()
   | Some ctl ->
       if
@@ -758,65 +762,58 @@ let retire t (var : Types.var) =
 let deco t = t.deco
 
 let validate t (var : Types.var) =
-  match Hashtbl.find_opt t.vars var.Types.id with
+  match find_ctl t var.Types.id with
   | None -> Ok ()  (* never accessed: implicit singleton at the owner *)
   | Some ctl ->
       let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+      let nt = t.deco.Deco.num_tree_nodes in
       if ctl.writing || ctl.reading > 0 || not (Queue.is_empty ctl.pending) then
         err "%s: transactions in flight" var.Types.name
       else begin
         let holders = copy_holders t var in
         let nh = List.length holders in
+        let holder = Array.make nt false in
+        List.iter (fun h -> holder.(h) <- true) holders;
+        (* A set of tree nodes is connected iff exactly one of its members
+           has its tree parent outside the set. *)
+        let tops =
+          List.length
+            (List.filter
+               (fun h ->
+                 let p = t.deco.Deco.parent.(h) in
+                 p < 0 || not holder.(p))
+               holders)
+        in
+        (* Every materialised pointer chain reaches the component; an
+           untouched node points toward the initial owner's leaf. *)
+        let owner_leaf = leaf t var.Types.owner in
+        let rec reaches cur steps =
+          cur >= 0 && steps <= nt
+          && (holder.(cur)
+             ||
+             let st = ctl.slab.(cur) in
+             reaches
+               (if st == vacant then
+                  Deco.next_hop t.deco ~from:cur ~target:owner_leaf
+                else st.toward)
+               (steps + 1))
+        in
+        let rec lost tnode =
+          if tnode >= nt then None
+          else
+            let st = ctl.slab.(tnode) in
+            if st != vacant && (not st.has_copy) && not (reaches tnode 0) then
+              Some tnode
+            else lost (tnode + 1)
+        in
         if nh <> ctl.ncopies then
           err "%s: ncopies %d but %d holders" var.Types.name ctl.ncopies nh
         else if nh = 0 then err "%s: no copies at all" var.Types.name
-        else begin
-          (* Connectivity: every holder except the shallowest reaches
-             another holder via its tree parent chain within the component.
-             Equivalently: for each holder other than the minimum-depth
-             one, its parent-ward neighbour on the path toward the first
-             holder must also be a holder (connected subtrees of a tree are
-             exactly sets closed under taking the path to a fixed member).
-             We check pairwise paths to the first holder. *)
-          let first = List.hd holders in
-          let connected =
-            List.for_all
-              (fun h ->
-                h = first
-                || List.for_all
-                     (fun x -> List.mem x holders)
-                     (let rec walk cur acc =
-                        if cur = first then acc
-                        else
-                          let nxt = Deco.next_hop t.deco ~from:cur ~target:first in
-                          walk nxt (nxt :: acc)
-                      in
-                      walk h [ h ]))
-              holders
-          in
-          if not connected then err "%s: copy component disconnected" var.Types.name
-          else begin
-            (* Every materialised pointer chain reaches the component. *)
-            let nt = t.deco.Deco.num_tree_nodes in
-            let bad = ref None in
-            Hashtbl.iter
-              (fun k st ->
-                if k / nt = var.Types.id && not st.has_copy then begin
-                  let rec chase cur steps =
-                    if steps > nt then false
-                    else if List.mem cur holders then true
-                    else
-                      let s = get_state t ctl cur in
-                      if s.has_copy then true else chase s.toward (steps + 1)
-                  in
-                  if not (chase (k mod nt) 0) then bad := Some (k mod nt)
-                end)
-              t.states;
-            match !bad with
-            | Some tn -> err "%s: pointer chain from node %d is lost" var.Types.name tn
-            | None -> Ok ()
-          end
-        end
+        else if tops <> 1 then err "%s: copy component disconnected" var.Types.name
+        else
+          match lost 0 with
+          | Some tn -> err "%s: pointer chain from node %d is lost" var.Types.name tn
+          | None -> Ok ()
       end
 
 (* ------------------------------------------------------------------ *)

@@ -66,7 +66,8 @@ val handle : t -> Diva_simnet.Network.msg -> bool
     belong to this protocol. *)
 
 val place : t -> Types.var -> int -> Diva_mesh.Mesh.node
-(** Mesh placement of a tree node of the variable's access tree. *)
+(** Mesh placement of a tree node of the variable's access tree: the
+    embedding's, unless remapping moved the node. Read-only. *)
 
 val cached : t -> Types.proc -> Types.var -> bool
 (** Does the processor's leaf currently hold a copy? (The fast path.) *)
@@ -94,7 +95,8 @@ val ncopies : t -> Types.var -> int
 (** Current number of copies (for tests and reports). *)
 
 val copy_holders : t -> Types.var -> int list
-(** Tree nodes currently holding copies (for invariant checks in tests). *)
+(** Tree nodes currently holding copies, ascending (for invariant checks in
+    tests). Read-only; costs one pass over the variable's tree nodes. *)
 
 val deco : t -> Diva_mesh.Decomposition.t
 (** The decomposition tree the protocol runs on. *)
@@ -107,14 +109,16 @@ val remaps : t -> int
 
 val retire : t -> Types.var -> unit
 (** Drop all protocol state of a variable that will never be accessed
-    again (a freed object, e.g. a Barnes-Hut cell of a discarded tree).
-    Keeps the simulator's memory bounded on long runs. *)
+    again (a freed object, e.g. a Barnes-Hut cell of a discarded tree),
+    remapped placements included. Keeps the simulator's memory bounded on
+    long runs. *)
 
 val validate : t -> Types.var -> (unit, string) result
 (** Check the protocol's structural invariants for a variable while no
     transaction is in flight: the copy holders form a connected subtree,
     the copy count matches, and every materialised tracking pointer leads
-    to the component. For tests. *)
+    to the component; an error names the lowest offending tree node.
+    Read-only and per-variable: it creates no protocol state. For tests. *)
 
 module Impl :
   Strategy.STRATEGY with type t = t and type config = Strategy.tree_config

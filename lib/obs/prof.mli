@@ -36,8 +36,9 @@ type t
     loop (setup, artifact writing); [Event_loop] is queue pop / clock
     bookkeeping / advance hooks; [Dispatch] is event bodies that reach no
     deeper instrumented layer (timers, fiber resumptions, link bookkeeping);
-    [Protocol] is the network message envelope/handler layer; [Strategy] is
-    a data-management strategy's protocol handler; [Analysis] is the
+    [Protocol] is the network message envelope/handler layer, including
+    every [Network.send] (nested: the sender's layer resumes after it);
+    [Strategy] is a data-management strategy's protocol handler; [Analysis] is the
     streaming analysis fold and event-trace encoding. *)
 type subsystem = Host | Event_loop | Dispatch | Protocol | Strategy | Analysis
 

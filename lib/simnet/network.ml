@@ -523,7 +523,7 @@ and retransmit t rel seq p =
       m_payload = Env { seq; inner = p.p_inner } };
   arm_timeout t rel seq p ~from:t.walk.wk_outcome
 
-let send t ?(tag = -1) ~src ~dst ~size payload =
+let post t ~tag ~src ~dst ~size payload =
   let msg =
     { m_src = src; m_dst = dst; m_size = size; m_tag = tag; m_payload = payload }
   in
@@ -571,6 +571,18 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
           { msg with m_payload = Env { seq; inner = payload } };
         arm_timeout t rel seq p ~from:t.walk.wk_outcome
   end
+
+(* Under a profiler the send's own work (routing, link walk, queue insert)
+   is booked to [Protocol], then the caller's layer — typically a strategy
+   handler — is restored. *)
+let send t ?(tag = -1) ~src ~dst ~size payload =
+  match t.prof with
+  | None -> post t ~tag ~src ~dst ~size payload
+  | Some p ->
+      let saved = Prof.cur_sub p in
+      Prof.set_sub p Prof.Protocol;
+      post t ~tag ~src ~dst ~size payload;
+      Prof.set_sub p saved
 
 (* Forced early retransmission of the envelopes still pending from [src],
    in seq order for determinism. The DSM watchdog calls this when a

@@ -59,7 +59,9 @@ val send :
     destination handler. Callable from fibers and handlers alike. [tag]
     (default [-1], untagged; tags must be [>= 0]) keys the receiver's
     selective receive — see {!recv}. Tags survive the reliable-delivery
-    envelope under fault injection. *)
+    envelope under fault injection. Under an attached profiler the send's
+    own work counts as [Prof.Protocol], and the caller's subsystem is
+    restored on return. *)
 
 val set_handler : t -> Diva_mesh.Mesh.node -> (t -> msg -> unit) -> unit
 (** Replace the node's message handler. The default handler enqueues into

@@ -21,23 +21,6 @@ let () =
   (* Same fixed run, encoded as the versioned JSONL event-trace format
      (header + one event per line); the golden test replays the encoding
      byte for byte. The header must match test_streaming.golden_header. *)
-  let m = Diva_simnet.Machine.gcel in
-  let header =
-    Streaming.make_header
-      ~params:[ ("block", Diva_obs.Json.Int 64) ]
-      ~app:"matmul" ~dims:[| 2; 2 |] ~strategy:"4-ary" ~seed:17
-      ~overheads:
-        { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
-          recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-          local_overhead = m.Diva_simnet.Machine.local_overhead }
-      ()
-  in
-  let path = "test/data/golden_events_2x2.jsonl" in
-  let oc = open_out_bin path in
-  let sink = Streaming.file_sink oc header in
-  List.iter (Trace.emit sink) (Trace.events tr);
-  close_out oc;
-  Printf.printf "wrote %s (%d events)\n" path (Trace.count tr);
   let write_golden path header tr =
     let oc = open_out_bin path in
     let sink = Streaming.file_sink oc header in
@@ -45,6 +28,20 @@ let () =
     close_out oc;
     Printf.printf "wrote %s (%d events)\n" path (Trace.count tr)
   in
+  let m = Diva_simnet.Machine.gcel in
+  let overheads =
+    { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
+      recv_overhead = m.Diva_simnet.Machine.recv_overhead;
+      local_overhead = m.Diva_simnet.Machine.local_overhead }
+  in
+  let header =
+    Streaming.make_header
+      ~params:[ ("block", Diva_obs.Json.Int 64) ]
+      ~app:"matmul" ~dims:[| 2; 2 |] ~strategy:"4-ary" ~seed:17
+      ~overheads
+      ()
+  in
+  write_golden "test/data/golden_events_2x2.jsonl" header tr;
   (* One golden event trace per strategy-zoo contender, same fixed matmul
      run; the byte tests in test_golden_strategies.ml replay these. The
      header names the registry entry, not the display name. *)
@@ -64,11 +61,7 @@ let () =
         Streaming.make_header
           ~params:[ ("block", Diva_obs.Json.Int 64) ]
           ~app:"matmul" ~dims:[| 2; 2 |] ~strategy:name ~seed:17
-          ~overheads:
-            { Diva_obs.Analysis.send_overhead =
-                m.Diva_simnet.Machine.send_overhead;
-              recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-              local_overhead = m.Diva_simnet.Machine.local_overhead }
+          ~overheads
           ()
       in
       write_golden
@@ -98,11 +91,7 @@ let () =
           ~app:"workload" ~dims:[| 4; 4 |]
           ~strategy:(Diva_core.Dsm.strategy_name strategy)
           ~seed:spec.Diva_workload.Spec.seed
-          ~overheads:
-            { Diva_obs.Analysis.send_overhead =
-                m.Diva_simnet.Machine.send_overhead;
-              recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-              local_overhead = m.Diva_simnet.Machine.local_overhead }
+          ~overheads
           ()
       in
       write_golden

@@ -116,6 +116,62 @@ let test_retire_and_reuse_memory () =
       if p = 0 then finished := true);
   Alcotest.(check bool) "completed" true !finished
 
+(* Retiring a remapped variable forgets all of its protocol state: every
+   tree node is back at its default placement, the only copy is the
+   owner's leaf and the invariants hold — round after round, with fresh
+   variables created and retired under the same DSM. *)
+let test_retire_after_remapping () =
+  let module At = Diva_core.Access_tree in
+  let net, dsm =
+    make_dsm ~rows:4 ~cols:4 (Dsm.access_tree ~arity:2 ~remap_threshold:8 ())
+  in
+  let at = Option.get (Dsm.access_tree_handle dsm) in
+  let deco = At.deco at in
+  let default tv tnode =
+    Diva_mesh.Embedding.place_lazy Diva_mesh.Embedding.Regular deco
+      ~seed:tv.Diva_core.Types.seed tnode
+  in
+  let moved tv =
+    List.exists
+      (fun tnode -> At.place at tv tnode <> default tv tnode)
+      (List.init deco.Deco.num_tree_nodes Fun.id)
+  in
+  let rounds = 4 in
+  let vars = Array.make rounds None in
+  let checked = ref 0 in
+  run_procs net (fun p ->
+      for round = 0 to rounds - 1 do
+        if p = 0 then
+          vars.(round) <-
+            Some (Dsm.create_var dsm ~owner:(round mod 16) ~size:64 round);
+        Dsm.barrier dsm p;
+        let v = Option.get vars.(round) in
+        let remaps0 = Dsm.remaps dsm in
+        for i = 1 to 3 do
+          ignore (Dsm.read dsm p v);
+          Dsm.barrier dsm p;
+          if p = (round + i) mod 16 then Dsm.write dsm p v (round + i);
+          Dsm.barrier dsm p
+        done;
+        if p = 0 then begin
+          let tv = Dsm.typed v in
+          Alcotest.(check bool) "remapped before retire" true
+            (Dsm.remaps dsm > remaps0 && moved tv);
+          Dsm.retire_var dsm v;
+          Alcotest.(check bool) "default placements after retire" false
+            (moved tv);
+          Alcotest.(check (list int)) "only the owner's leaf holds a copy"
+            [ deco.Deco.leaf_of_proc.(tv.Diva_core.Types.owner) ]
+            (At.copy_holders at tv);
+          (match At.validate at tv with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          incr checked
+        end;
+        Dsm.barrier dsm p
+      done);
+  Alcotest.(check int) "every round checked" rounds !checked
+
 let test_sim_events_counted () =
   let net = make_net ~rows:2 ~cols:2 () in
   Network.spawn net 0 (fun () -> Network.compute net 0 5.0);
@@ -136,5 +192,7 @@ let suite =
     Alcotest.test_case "large variable timing" `Quick test_large_variable_times;
     Alcotest.test_case "many small variables" `Quick test_many_small_variables;
     Alcotest.test_case "retire and reuse" `Quick test_retire_and_reuse_memory;
+    Alcotest.test_case "retire after remapping" `Quick
+      test_retire_after_remapping;
     Alcotest.test_case "sim event counter" `Quick test_sim_events_counted;
   ]

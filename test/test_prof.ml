@@ -113,6 +113,41 @@ let test_prof_subsystems_and_regions () =
         [ "phase_a"; "phase_b" ] (List.map fst regions)
   | _ -> Alcotest.fail "regions section missing"
 
+type Diva_simnet.Network.payload += Bounce of int
+
+(* Nested attribution: a handler running as [Strategy] that sends books
+   the send itself to [Protocol] (observed from the [Msg_send] emitted
+   inside it) and resumes as [Strategy] once the send returns. *)
+let test_prof_send_nests () =
+  let module Network = Diva_simnet.Network in
+  let net = Network.create ~rows:1 ~cols:2 () in
+  let p = Prof.create () in
+  Network.attach_prof net p;
+  let in_send = ref [] and after_send = ref [] in
+  Network.set_trace net
+    (Trace.stream (function
+      | Trace.Msg_send _ -> in_send := Prof.cur_sub p :: !in_send
+      | _ -> ()));
+  let handler node net (msg : Network.msg) =
+    match msg.Network.m_payload with
+    | Bounce n when n > 0 ->
+        Prof.set_sub p Prof.Strategy;
+        Network.send net ~src:node ~dst:(1 - node) ~size:16 (Bounce (n - 1));
+        after_send := Prof.cur_sub p :: !after_send
+    | _ -> ()
+  in
+  Network.set_handler net 0 (handler 0);
+  Network.set_handler net 1 (handler 1);
+  Network.spawn net 0 (fun () ->
+      Network.send net ~src:0 ~dst:1 ~size:16 (Bounce 4));
+  Network.run net;
+  Prof.disarm p;
+  let names l = List.map Prof.subsystem_name l in
+  Alcotest.(check (list string)) "sends book to protocol"
+    (List.init 5 (fun _ -> "protocol")) (names !in_send);
+  Alcotest.(check (list string)) "handler resumes as strategy"
+    (List.init 4 (fun _ -> "strategy")) (names !after_send)
+
 let test_prof_report_rejects_other_schema () =
   (match Prof.report (Json.Obj [ ("schema", Json.String "bogus/9") ]) with
   | Error _ -> ()
@@ -478,6 +513,8 @@ let suite =
       test_prof_series_and_json;
     Alcotest.test_case "subsystem attribution and regions" `Quick
       test_prof_subsystems_and_regions;
+    Alcotest.test_case "sends nest inside the caller's subsystem" `Quick
+      test_prof_send_nests;
     Alcotest.test_case "profile report rejects foreign documents" `Quick
       test_prof_report_rejects_other_schema;
     Alcotest.test_case "flight ring rotates past capacity" `Quick
