@@ -998,7 +998,29 @@ let micro () =
              (Runner.run_matmul ~rows:4 ~cols:4 ~block:64
                 (Runner.Strategy (Dsm.access_tree ~arity:4 ())))))
   in
-  let tests = [ route; build; placement; heap; small_sim ] in
+  (* A fixed 200-segment chain: 50 remote hops, each a send overhead, two
+     link crossings and a receive overhead, partly overlapping the next
+     hop. A quadratic boundary sweep shows up here as a unit cost. *)
+  let chain_ov =
+    { Diva_obs.Analysis.send_overhead = 5.0; recv_overhead = 5.0;
+      local_overhead = 1.5 }
+  in
+  let chain =
+    List.init 50 (fun i ->
+        let t = 20.0 *. float_of_int i in
+        { Diva_obs.Analysis.cl_local = false;
+          cl_inject = t +. 5.0;
+          cl_handled = Some (t +. 21.0);
+          cl_xfers = [| t +. 5.0; t +. 11.0; t +. 8.0; t +. 16.0 |] })
+  in
+  let sweep =
+    Test.make ~name:"decompose_chain (200 segments)"
+      (Staged.stage (fun () ->
+           ignore
+             (Diva_obs.Analysis.decompose_chain chain_ov ~t0:0.0 ~dur:1000.0
+                chain)))
+  in
+  let tests = [ route; build; placement; heap; small_sim; sweep ] in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
     Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test

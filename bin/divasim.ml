@@ -740,16 +740,33 @@ let analyze_cmd =
             "Also record the analyzed run's event stream as a JSONL trace \
              for later $(b,--offline) post-mortems.")
   in
+  let nonneg_int ?max () =
+    let expected =
+      match max with
+      | None -> "a non-negative integer"
+      | Some m -> Printf.sprintf "an integer in [0, %d]" m
+    in
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 && n <= Option.value max ~default:max_int -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected %s (got %S)" expected s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let top =
     Arg.(
-      value & opt int 10
+      value & opt (nonneg_int ()) 10
       & info [ "top" ] ~docv:"K" ~doc:"Congested links to report.")
   in
   let wins =
     Arg.(
-      value & opt int 8
+      value
+      & opt (nonneg_int ~max:Diva_obs.Analysis.max_windows ()) 8
       & info [ "windows" ] ~docv:"N"
-          ~doc:"Time windows for the congestion time-lapse.")
+          ~doc:
+            (Printf.sprintf
+               "Time windows for the congestion time-lapse (at most %d)."
+               Diva_obs.Analysis.max_windows))
   in
   let json_out =
     Arg.(

@@ -44,7 +44,7 @@ type chain_link = {
   cl_local : bool;
   cl_inject : float;
   cl_handled : float option;
-  cl_xfers : (float * float) list;  (* (start, finish), arrival order *)
+  cl_xfers : float array;  (* start, finish, start, ...: arrival order *)
 }
 
 let chain_link_of_msg (m : Spans.msg) =
@@ -52,7 +52,8 @@ let chain_link_of_msg (m : Spans.msg) =
     cl_local = m.Spans.local;
     cl_inject = m.Spans.inject;
     cl_handled = m.Spans.handled;
-    cl_xfers = List.map (fun (_, s, f) -> (s, f)) m.Spans.xfers;
+    cl_xfers =
+      Array.of_list (List.concat_map (fun (_, s, f) -> [ s; f ]) m.Spans.xfers);
   }
 
 (* Exact decomposition of one transaction's blocking window [t0, t0+dur]:
@@ -64,6 +65,9 @@ let chain_link_of_msg (m : Spans.msg) =
    header propagation). By construction every term is non-negative (up to
    float rounding) and the four sum exactly to [dur].
 
+   The sweep labels each elementary interval by the segments active at
+   its midpoint, counted by one cursor (why that is exact: analysis.mli).
+
    The clipping makes the result insensitive to events emitted after the
    completion event: any link crossing emitted later (a post-completion
    retransmission) starts at or after [t0 +. dur] and clips to nothing, so
@@ -71,41 +75,57 @@ let chain_link_of_msg (m : Spans.msg) =
    event computes the same cost bit for bit. *)
 let decompose_chain ov ~t0 ~dur links =
   let t1 = t0 +. dur in
-  let segs = ref [] in
+  (* Endpoints: time [ts] and [tag] = 2 * label + (0 start | 1 finish),
+     labels 0 startup, 1 transfer, 2 cpu in precedence order; 3 marks the
+     window's own ends, which bound the sweep but label nothing. *)
+  let cap =
+    List.fold_left (fun n l -> n + 4 + Array.length l.cl_xfers) 2 links
+  in
+  let ts = Array.make cap t0 and tag = Array.make cap 6 and m = ref 2 in
+  ts.(1) <- t1;
   let add label a b =
     let a = Float.max a t0 and b = Float.min b t1 in
-    if b > a then segs := (label, a, b) :: !segs
+    if b > a then begin
+      ts.(!m) <- a;
+      tag.(!m) <- 2 * label;
+      ts.(!m + 1) <- b;
+      tag.(!m + 1) <- (2 * label) + 1;
+      m := !m + 2
+    end
   in
   List.iter
     (fun l ->
-      if l.cl_local then add `Cpu (l.cl_inject -. ov.local_overhead) l.cl_inject
+      if l.cl_local then add 2 (l.cl_inject -. ov.local_overhead) l.cl_inject
       else begin
-        add `Startup (l.cl_inject -. ov.send_overhead) l.cl_inject;
-        List.iter (fun (s, f) -> add `Transfer s f) l.cl_xfers;
+        add 0 (l.cl_inject -. ov.send_overhead) l.cl_inject;
+        for i = 0 to (Array.length l.cl_xfers / 2) - 1 do
+          add 1 l.cl_xfers.(2 * i) l.cl_xfers.((2 * i) + 1)
+        done;
         match l.cl_handled with
-        | Some h -> add `Startup (h -. ov.recv_overhead) h
+        | Some h -> add 0 (h -. ov.recv_overhead) h
         | None -> ()
       end)
     links;
-  let pts =
-    List.sort_uniq Float.compare
-      (t0 :: t1 :: List.concat_map (fun (_, a, b) -> [ a; b ]) !segs)
-  in
+  let m = !m in
+  let order = Array.init m Fun.id in
+  Array.stable_sort (fun i j -> Float.compare ts.(i) ts.(j)) order;
+  let active = Array.make 4 0 and c = ref 0 in
   let startup = ref 0.0 and transfer = ref 0.0 and cpu = ref 0.0 in
-  let rec sweep = function
-    | a :: (b :: _ as rest) ->
-        let mid = (a +. b) /. 2.0 in
-        let active l =
-          List.exists (fun (l', x, y) -> l' = l && x <= mid && mid < y) !segs
-        in
-        let d = b -. a in
-        if active `Startup then startup := !startup +. d
-        else if active `Transfer then transfer := !transfer +. d
-        else if active `Cpu then cpu := !cpu +. d;
-        sweep rest
-    | _ -> ()
-  in
-  sweep pts;
+  for k = 1 to m - 1 do
+    let a = ts.(order.(k - 1)) and b = ts.(order.(k)) in
+    if b > a then begin
+      let mid = (a +. b) /. 2.0 in
+      while !c < m && ts.(order.(!c)) <= mid do
+        let e = tag.(order.(!c)) in
+        active.(e / 2) <- active.(e / 2) + 1 - (2 * (e land 1));
+        incr c
+      done;
+      let d = b -. a in
+      if active.(0) > 0 then startup := !startup +. d
+      else if active.(1) > 0 then transfer := !transfer +. d
+      else if active.(2) > 0 then cpu := !cpu +. d
+    end
+  done;
   {
     startup_us = !startup;
     transfer_us = !transfer;
@@ -253,13 +273,21 @@ let end_time_events events =
       | _ -> acc)
     0.0 events
 
+(* Bound on the windowed series: one table per window is allocated up
+   front, so the count must not come unchecked from a CLI flag. *)
+let max_windows = 4096
+
 (* Incremental per-window per-link byte attribution. Needs the run's end
    time up front to place window boundaries, so streaming uses it as a
    second pass (over the saved trace file or the replayed event list). *)
 module Windows_fold = struct
-  type t = { n : int; w : float; tables : (int, float) Hashtbl.t array }
+  type t = { n : int; w : float; tables : (int, float ref) Hashtbl.t array }
 
   let create ~n ~t_end =
+    if n > max_windows then
+      invalid_arg
+        (Printf.sprintf "Windows_fold.create: more than %d windows"
+           max_windows);
     if n <= 0 || t_end <= 0.0 then { n = 0; w = 0.0; tables = [||] }
     else
       {
@@ -276,11 +304,12 @@ module Windows_fold = struct
       for i = first to last do
         let lo = Float.max s (float_of_int i *. t.w)
         and hi = Float.min f (float_of_int (i + 1) *. t.w) in
-        if hi > lo then
-          let prev =
-            Option.value ~default:0.0 (Hashtbl.find_opt t.tables.(i) link)
-          in
-          Hashtbl.replace t.tables.(i) link (prev +. (rate *. (hi -. lo)))
+        if hi > lo then begin
+          let b = rate *. (hi -. lo) in
+          match Hashtbl.find_opt t.tables.(i) link with
+          | Some acc -> acc := !acc +. b
+          | None -> Hashtbl.add t.tables.(i) link (ref b)
+        end
       done
     end
 
@@ -297,7 +326,7 @@ module Windows_fold = struct
           w_finish = float_of_int (i + 1) *. t.w;
           w_link_bytes =
             List.sort compare
-              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) t.tables.(i) []);
+              (Hashtbl.fold (fun l b acc -> (l, !b) :: acc) t.tables.(i) []);
         })
 end
 

@@ -34,7 +34,8 @@ type chain_link = {
   cl_local : bool;
   cl_inject : float;
   cl_handled : float option;
-  cl_xfers : (float * float) list;  (** (start, finish), arrival order *)
+  cl_xfers : float array;
+      (** link crossings as interleaved start, finish pairs, arrival order *)
 }
 
 val chain_link_of_msg : Spans.msg -> chain_link
@@ -45,7 +46,18 @@ val decompose_chain :
     blocking window [\[t0, t0 +. dur\]]. Clipping makes the result
     insensitive to link crossings emitted after the completion event, so a
     streaming analyzer that retires transactions eagerly computes the same
-    cost bit for bit. *)
+    cost bit for bit.
+
+    Each elementary interval [\[a, b\]] between sorted, de-duplicated
+    segment endpoints is labeled by the segments active at
+    [mid = (a +. b) /. 2.0], i.e. those with [x <= mid < y]. One cursor
+    walks all endpoints in time order and, while the next one is
+    [<= mid], counts its label up at a start and down at a finish. Every
+    segment has [x < y] and the midpoints never decrease, so each count is
+    [#{x <= mid} - #{y <= mid} = #{x <= mid < y}], and a chain of [s]
+    segments costs one O(s log s) sort plus a linear sweep. [mid] is kept,
+    not replaced by [x <= a && y >= b], because the two differ when
+    [(a +. b) /. 2.0] rounds up to [b] on adjacent floats. *)
 
 val side_cost : overheads -> Spans.side -> cost
 (** Attribution of one side-branch message (e.g. an invalidation fan-out
@@ -119,11 +131,17 @@ val end_time_events : Trace.event list -> float
     time up front, so {!Streaming} retains each crossing as four scalars
     during its single pass and replays them through this fold at
     finalize. *)
+val max_windows : int
+(** Largest window count {!Windows_fold.create} (and so {!summarize} and
+    [Streaming.create]) accepts: 4096. Each window owns a table allocated
+    up front. *)
+
 module Windows_fold : sig
   type t
 
   val create : n:int -> t_end:float -> t
-  (** Inert (produces no rows) when [n <= 0] or [t_end <= 0.]. *)
+  (** Inert (produces no rows) when [n <= 0] or [t_end <= 0.].
+      @raise Invalid_argument when [n > max_windows]. *)
 
   val feed : t -> Trace.event -> unit
   (** Feed one event; only non-ack link crossings contribute. *)

@@ -18,8 +18,6 @@
    - Side-branch snapshots are taken at the completion event on both
      sides ({!Spans.build} takes the identical cut). *)
 
-module Ids = Set.Make (Int)
-
 (* Retained state of one in-flight message of a pending transaction.
    Mirrors the slice of [Spans.msg] the cost math reads; freed when the
    transaction completes. *)
@@ -31,7 +29,10 @@ type srec = {
   r_sent : float;
   r_inject : float;
   mutable r_handled : float option;
-  mutable r_rev_xfers : (float * float) list;  (* (start, finish), newest first *)
+  mutable r_chain : bool;  (* on the completing chain; set at completion *)
+  mutable r_xs : float array;  (* start, finish, ...: doubling, arrival order *)
+  mutable r_nx : int;  (* crossings held in [r_xs] *)
+  mutable r_xfer_us : float;  (* summed occupancy, folded in arrival order *)
 }
 
 type t = {
@@ -82,6 +83,10 @@ and link_acc = {
 
 let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
   if ring <= 0 then invalid_arg "Streaming.create: ring must be positive";
+  if num_windows > Analysis.max_windows then
+    invalid_arg
+      (Printf.sprintf "Streaming.create: more than %d windows"
+         Analysis.max_windows);
   {
     ov;
     top_k;
@@ -151,7 +156,8 @@ let link_acc t link =
       Hashtbl.add t.links link a;
       a
 
-(* Same snapshot {!Spans.build} takes at a completion event. *)
+(* Same snapshot {!Spans.build} takes at a completion event ([r_xfer_us]
+   adds the crossings in its fold's order). *)
 let side_of_rec (r : srec) : Spans.side =
   {
     Spans.s_id = r.r_id;
@@ -159,10 +165,7 @@ let side_of_rec (r : srec) : Spans.side =
     s_sent = r.r_sent;
     s_inject = r.r_inject;
     s_handled = r.r_handled;
-    s_xfer_us =
-      List.fold_left
-        (fun acc (s, f) -> acc +. (f -. s))
-        0.0 (List.rev r.r_rev_xfers);
+    s_xfer_us = r.r_xfer_us;
   }
 
 let chain_link_of_rec (r : srec) : Analysis.chain_link =
@@ -170,49 +173,61 @@ let chain_link_of_rec (r : srec) : Analysis.chain_link =
     Analysis.cl_local = r.r_local;
     cl_inject = r.r_inject;
     cl_handled = r.r_handled;
-    cl_xfers = List.rev r.r_rev_xfers;
+    cl_xfers = Array.sub r.r_xs 0 (2 * r.r_nx);
   }
 
-(* Same guards as [Spans.chain]: parent ids are strictly smaller than
-   child ids, and the walk stops at the first message outside the
-   transaction — for us also the first retired message, which is the same
-   thing (every message of a pending transaction is still live). *)
-let chain_ids t txn_id completed_by =
-  let rec go acc prev id =
-    if id < 0 || id >= prev then acc
-    else
-      match Hashtbl.find_opt t.msgs id with
-      | Some r when r.r_txn = txn_id -> go (Ids.add id acc) id r.r_parent
-      | _ -> acc
-  in
-  go Ids.empty max_int completed_by
+let push_crossing r ~start ~finish =
+  let k = 2 * r.r_nx in
+  if k = Array.length r.r_xs then begin
+    let xs = Array.make (max 8 (2 * k)) 0.0 in
+    Array.blit r.r_xs 0 xs 0 k;
+    r.r_xs <- xs
+  end;
+  r.r_xs.(k) <- start;
+  r.r_xs.(k + 1) <- finish;
+  r.r_nx <- r.r_nx + 1;
+  r.r_xfer_us <- r.r_xfer_us +. (finish -. start)
 
 let complete t ~node ~op ~ts ~dur ~txn ~completed_by =
-  let chain = chain_ids t txn completed_by in
+  (* Mark the completing chain. Same guards as [Spans.chain]: parent ids
+     are strictly smaller than child ids, and the walk stops at the first
+     message outside the transaction — for us also the first retired
+     message, which is the same thing (every message of a pending
+     transaction is still live). *)
+  let rec mark prev id =
+    if id >= 0 && id < prev then
+      match Hashtbl.find_opt t.msgs id with
+      | Some r when r.r_txn = txn ->
+          r.r_chain <- true;
+          mark id r.r_parent
+      | _ -> ()
+  in
+  mark max_int completed_by;
   let ids =
     match Hashtbl.find_opt t.pending txn with
     | Some ids -> List.rev !ids
     | None -> []
   in
+  (* One pass, oldest first: chain links for the sweep, and the side
+     branches summed in the order {!Analysis.sides_cost} would. *)
+  let links = ref [] and side_msgs = ref 0 in
+  let side_cost = ref Analysis.zero_cost in
+  List.iter
+    (fun id ->
+      match Hashtbl.find_opt t.msgs id with
+      | Some r when r.r_chain -> links := chain_link_of_rec r :: !links
+      | Some r ->
+          incr side_msgs;
+          side_cost :=
+            Analysis.add_cost !side_cost
+              (Analysis.side_cost t.ov (side_of_rec r))
+      | None -> ())
+    ids;
   let chain_cost =
-    Analysis.decompose_chain t.ov ~t0:ts ~dur
-      (List.filter_map
-         (fun id ->
-           if Ids.mem id chain then
-             Option.map chain_link_of_rec (Hashtbl.find_opt t.msgs id)
-           else None)
-         ids)
-  in
-  let sides =
-    List.filter_map
-      (fun id ->
-        if Ids.mem id chain then None
-        else Option.map side_of_rec (Hashtbl.find_opt t.msgs id))
-      ids
+    Analysis.decompose_chain t.ov ~t0:ts ~dur (List.rev !links)
   in
   Analysis.Txn_fold.feed t.txn_fold ~node ~op ~t_start:ts ~dur ~chain_cost
-    ~side_msgs:(List.length sides)
-    ~side_cost:(Analysis.sides_cost t.ov sides);
+    ~side_msgs:!side_msgs ~side_cost:!side_cost;
   (* Retire: free every record of the transaction and remember its id so
      stray post-completion sends do not repopulate the table. *)
   List.iter (Hashtbl.remove t.msgs) ids;
@@ -243,7 +258,10 @@ let feed t e =
             (* A local message's handler runs at [inject]; there is no
                separate delivery event. *)
             r_handled = (if local then Some inject else None);
-            r_rev_xfers = [];
+            r_chain = false;
+            r_xs = [||];
+            r_nx = 0;
+            r_xfer_us = 0.0;
           };
         (match Hashtbl.find_opt t.pending txn with
         | Some ids -> ids := id :: !ids
@@ -263,7 +281,7 @@ let feed t e =
         t.t_end <- Float.max t.t_end finish;
         if t.num_windows > 0 then push_xfer t ~link ~size ~start ~finish;
         match Hashtbl.find_opt t.msgs msg with
-        | Some r -> r.r_rev_xfers <- (start, finish) :: r.r_rev_xfers
+        | Some r -> push_crossing r ~start ~finish
         | None -> ()
       end
   | Trace.Msg_deliver { id; handled; _ } ->

@@ -29,7 +29,9 @@ val create :
 (** [ring] (default 1024) bounds the set of recently-completed transaction
     ids remembered to keep stray post-completion sends from repopulating
     the record table; eviction can only delay freeing such a record until
-    {!finalize}, never change computed values. *)
+    {!finalize}, never change computed values.
+    @raise Invalid_argument when [ring <= 0] or
+    [num_windows > Analysis.max_windows]. *)
 
 val feed : t -> Trace.event -> unit
 

@@ -237,6 +237,162 @@ let test_to_json_roundtrip () =
               "levels"; "top_links"; "windows"; "ops" ]
       | _ -> Alcotest.fail "analysis.json is not an object")
 
+(* Oracle for [Analysis.decompose_chain]: the quadratic boundary sweep,
+   which scans every segment at every boundary point. *)
+let oracle_decompose_chain (ov : Analysis.overheads) ~t0 ~dur
+    (links : Analysis.chain_link list) =
+  let t1 = t0 +. dur in
+  let segs = ref [] in
+  let add label a b =
+    let a = Float.max a t0 and b = Float.min b t1 in
+    if b > a then segs := (label, a, b) :: !segs
+  in
+  List.iter
+    (fun (l : Analysis.chain_link) ->
+      if l.cl_local then
+        add `Cpu (l.cl_inject -. ov.local_overhead) l.cl_inject
+      else begin
+        add `Startup (l.cl_inject -. ov.send_overhead) l.cl_inject;
+        for i = 0 to (Array.length l.cl_xfers / 2) - 1 do
+          add `Transfer l.cl_xfers.(2 * i) l.cl_xfers.((2 * i) + 1)
+        done;
+        match l.cl_handled with
+        | Some h -> add `Startup (h -. ov.recv_overhead) h
+        | None -> ()
+      end)
+    links;
+  let pts =
+    List.sort_uniq Float.compare
+      (t0 :: t1 :: List.concat_map (fun (_, a, b) -> [ a; b ]) !segs)
+  in
+  let startup = ref 0.0 and transfer = ref 0.0 and cpu = ref 0.0 in
+  let rec sweep = function
+    | a :: (b :: _ as rest) ->
+        let mid = (a +. b) /. 2.0 in
+        let active l =
+          List.exists (fun (l', x, y) -> l' = l && x <= mid && mid < y) !segs
+        in
+        let d = b -. a in
+        if active `Startup then startup := !startup +. d
+        else if active `Transfer then transfer := !transfer +. d
+        else if active `Cpu then cpu := !cpu +. d;
+        sweep rest
+    | _ -> ()
+  in
+  sweep pts;
+  {
+    Analysis.startup_us = !startup;
+    transfer_us = !transfer;
+    queue_us = dur -. (!startup +. !transfer +. !cpu);
+    cpu_us = !cpu;
+  }
+
+let rec ulps n x =
+  if n > 0 then ulps (n - 1) (Float.succ x)
+  else if n < 0 then ulps (n + 1) (Float.pred x)
+  else x
+
+(* Random chains. Every time is an anchor on an integer grid (so overhead
+   subtractions land on other anchors and endpoints repeat) nudged by up
+   to two ulps (so adjacent floats appear, some with a midpoint that
+   rounds up to the right end), at magnitudes with different ulp sizes.
+   The window draws from the same anchors, so segments clip at both ends,
+   and local (cpu), startup and transfer segments overlap freely. *)
+let gen_chain =
+  let open QCheck.Gen in
+  let* base = oneofl [ 0.0; 1024.0; 3e6; 1e15 ] in
+  let time =
+    let+ k = int_range 0 30 and+ nudge = int_range (-2) 2 in
+    ulps nudge (base +. float_of_int k)
+  in
+  let overhead =
+    let+ k = int_range 0 4 and+ nudge = int_range (-1) 1 in
+    ulps nudge (float_of_int k)
+  in
+  let link =
+    let* local = bool and* inject = time in
+    if local then
+      return
+        { Analysis.cl_local = true; cl_inject = inject;
+          cl_handled = Some inject; cl_xfers = [||] }
+    else
+      let+ handled = opt time
+      and+ xfers = list_size (int_range 0 4) (pair time time) in
+      { Analysis.cl_local = false; cl_inject = inject; cl_handled = handled;
+        cl_xfers =
+          Array.of_list
+            (List.concat_map
+               (fun (a, b) -> [ Float.min a b; Float.max a b ])
+               xfers) }
+  in
+  let+ send = overhead and+ recv = overhead and+ local = overhead
+  and+ a = time and+ b = time
+  and+ links = list_size (int_range 0 12) link in
+  ( { Analysis.send_overhead = send; recv_overhead = recv;
+      local_overhead = local },
+    Float.min a b,
+    Float.max a b -. Float.min a b,
+    links )
+
+let print_chain ((ov : Analysis.overheads), t0, dur, links) =
+  let link (l : Analysis.chain_link) =
+    Printf.sprintf "{local=%b inject=%h handled=%s xfers=[%s]}" l.cl_local
+      l.cl_inject
+      (Option.fold ~none:"-" ~some:(Printf.sprintf "%h") l.cl_handled)
+      (String.concat ";"
+         (Array.to_list (Array.map (Printf.sprintf "%h") l.cl_xfers)))
+  in
+  Printf.sprintf "ov=(%h,%h,%h) t0=%h dur=%h links=[%s]" ov.send_overhead
+    ov.recv_overhead ov.local_overhead t0 dur
+    (String.concat " " (List.map link links))
+
+let cost_bits (c : Analysis.cost) =
+  List.map Int64.bits_of_float
+    [ c.startup_us; c.transfer_us; c.queue_us; c.cpu_us ]
+
+(* The cursor sweep returns the oracle's four terms bit for bit, and they
+   still sum to the blocking latency with no negative term. *)
+let prop_sweep_matches_oracle =
+  QCheck.Test.make ~name:"cursor sweep = quadratic sweep, bit for bit"
+    ~count:2000
+    (QCheck.make ~print:print_chain gen_chain)
+    (fun (ov, t0, dur, links) ->
+      let got = Analysis.decompose_chain ov ~t0 ~dur links in
+      let want = oracle_decompose_chain ov ~t0 ~dur links in
+      if cost_bits got <> cost_bits want then
+        QCheck.Test.fail_reportf "got %s, oracle %s" (Analysis.render_cost got)
+          (Analysis.render_cost want);
+      List.iter
+        (fun v -> if v < -.eps then QCheck.Test.fail_reportf "negative %g" v)
+        [ got.startup_us; got.transfer_us; got.queue_us; got.cpu_us ];
+      Float.abs (Analysis.total_cost got -. dur) <= eps *. Float.max 1.0 dur)
+
+(* The case the midpoint rule exists for: on adjacent floats a < b whose
+   midpoint rounds up to b, a segment starting at b is active on [a, b]
+   by the midpoint test (but not by x <= a && y >= b), so [a, b] counts as
+   transfer. *)
+let test_sweep_adjacent_floats () =
+  let rec find x =
+    let b = Float.succ x in
+    if (x +. b) /. 2.0 = b then x else find b
+  in
+  let a = find 1e15 in
+  let b = Float.succ a in
+  let ov =
+    { Analysis.send_overhead = 1.0; recv_overhead = 1.0; local_overhead = 1.0 }
+  in
+  let links =
+    [ { Analysis.cl_local = false; cl_inject = a; cl_handled = None;
+        cl_xfers = [| b; b +. 4.0 |] } ]
+  in
+  let got = Analysis.decompose_chain ov ~t0:(a -. 2.0) ~dur:8.0 links in
+  Alcotest.(check (list int64))
+    "bit-equal to the oracle"
+    (cost_bits (oracle_decompose_chain ov ~t0:(a -. 2.0) ~dur:8.0 links))
+    (cost_bits got);
+  Alcotest.(check (float 0.0)) "[a, b] is transfer" (b +. 4.0 -. a)
+    got.Analysis.transfer_us
+
 let suite =
   [
     Alcotest.test_case "decomposition sums to latency" `Quick
@@ -252,4 +408,8 @@ let suite =
       test_op_table_counts;
     Alcotest.test_case "analysis.json round-trips" `Quick
       test_to_json_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      prop_sweep_matches_oracle;
+    Alcotest.test_case "sweep keeps the midpoint rule on adjacent floats"
+      `Quick test_sweep_adjacent_floats;
   ]

@@ -354,6 +354,20 @@ let test_history_drift () =
     (Bench_gate.history_entries dir);
   Sys.rmdir dir
 
+(* The window count sizes an up-front allocation, so both entry points
+   refuse one above [Analysis.max_windows] instead of attempting it; the
+   cap itself is accepted. *)
+let test_window_cap () =
+  let ov = overheads_of Machine.gcel in
+  let over = Analysis.max_windows + 1 in
+  ignore (Streaming.create ~num_windows:Analysis.max_windows ov);
+  (match Streaming.create ~num_windows:over ov with
+  | _ -> Alcotest.fail "Streaming.create accepted too many windows"
+  | exception Invalid_argument _ -> ());
+  match Analysis.Windows_fold.create ~n:over ~t_end:1.0 with
+  | _ -> Alcotest.fail "Windows_fold.create accepted too many windows"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "streaming = batch (apps x strategies)" `Quick
@@ -370,4 +384,5 @@ let suite =
       test_offline_file_roundtrip;
     Alcotest.test_case "events golden file" `Quick test_events_golden;
     Alcotest.test_case "history ring drift gate" `Quick test_history_drift;
+    Alcotest.test_case "window count is capped" `Quick test_window_cap;
   ]
