@@ -67,19 +67,27 @@ let () =
       write_golden
         (Printf.sprintf "test/data/golden_events_2x2_%s.jsonl" name)
         header tr)
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ];
+    [ "fixed_home"; "prefetch_tree"; "adaptive_repl"; "capacity_lru";
+      "capacity_freq" ];
   (* Two access-tree paths the matmul goldens barely reach, on a hot-spot
      synthetic load (two shared keys, every processor reading them): read
      replies fanning out in several directions at once, and remapping
      (state moves and placement overrides). Must match the scenarios in
      test_golden_strategies.ml. *)
-  let spec =
+  let hot =
     Diva_workload.Spec.make ~num_vars:2 ~var_size:32
       ~phases:[ Diva_workload.Spec.phase ~read_ratio:0.9 8 ]
       ~seed:5 ()
   in
+  (* And the home-based protocol's migration path: a home that keeps
+     moving (window 2), with requests forwarded from stale homes. *)
+  let mixed =
+    Diva_workload.Spec.make ~num_vars:4 ~var_size:32
+      ~phases:[ Diva_workload.Spec.phase ~read_ratio:0.7 16 ]
+      ~seed:5 ()
+  in
   List.iter
-    (fun (label, strategy) ->
+    (fun (label, spec, strategy) ->
       let tr = Trace.create () in
       ignore
         (Diva_workload.Generator.run
@@ -98,6 +106,7 @@ let () =
         (Printf.sprintf "test/data/golden_events_4x4_%s.jsonl" label)
         header tr)
     [
-      ("contended", Diva_core.Dsm.access_tree ~arity:4 ());
-      ("remap", Diva_core.Dsm.access_tree ~arity:2 ~remap_threshold:8 ());
+      ("contended", hot, Diva_core.Dsm.access_tree ~arity:4 ());
+      ("remap", hot, Diva_core.Dsm.access_tree ~arity:2 ~remap_threshold:8 ());
+      ("migrate", mixed, Diva_core.Dsm.adaptive ~migrate_after:2 ());
     ]

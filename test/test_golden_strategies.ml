@@ -1,9 +1,10 @@
 (* Golden byte tests for the strategy-zoo contenders.
 
-   Each new registry strategy has a committed golden event trace of the
-   fixed matmul run (2x2 mesh, block 64, seed 17), and two access-tree
-   runs of a hot-spot synthetic load pin the multicast and remapping
-   paths; the tests re-run the simulation and require the re-encoded
+   Fixed home and each zoo registry strategy have a committed golden
+   event trace of the fixed matmul run (2x2 mesh, block 64, seed 17), two
+   access-tree runs of a hot-spot synthetic load pin the multicast and
+   remapping paths, and a migrating home-based run pins home migration
+   and forwarding from stale homes; the tests re-run the simulation and require the re-encoded
    trace to match byte for byte.
    Together with the pre-existing 4-ary and chrome goldens this pins the
    protocols' entire observable behaviour — any unintended change to
@@ -67,12 +68,19 @@ let hot_spec =
     ~phases:[ Spec.phase ~read_ratio:0.9 8 ]
     ~seed:5 ()
 
-let hot_bytes strategy =
-  encode ~app:"workload" ~params:(Spec.to_params hot_spec) ~dims:[| 4; 4 |]
+(* A read-mostly mix over four keys on a 4x4 mesh; with a migration
+   window of 2 the home moves often and in-flight requests reach stale
+   homes (23 migrations and 10 forwarded requests). *)
+let migrate_spec =
+  Spec.make ~num_vars:4 ~var_size:32
+    ~phases:[ Spec.phase ~read_ratio:0.7 16 ]
+    ~seed:5 ()
+
+let workload_bytes spec strategy =
+  encode ~app:"workload" ~params:(Spec.to_params spec) ~dims:[| 4; 4 |]
     ~strategy:(Diva_core.Dsm.strategy_name strategy)
-    ~seed:hot_spec.Spec.seed (fun obs ->
-      ignore
-        (Diva_workload.Generator.run ~obs ~dims:[| 4; 4 |] ~strategy hot_spec))
+    ~seed:spec.Spec.seed (fun obs ->
+      ignore (Diva_workload.Generator.run ~obs ~dims:[| 4; 4 |] ~strategy spec))
 
 let check_golden path got () =
   let got = got () in
@@ -92,13 +100,18 @@ let suite =
         (check_golden
            (Printf.sprintf "data/golden_events_2x2_%s.jsonl" name)
            (fun () -> matmul_bytes name)))
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ]
+    [ "fixed_home"; "prefetch_tree"; "adaptive_repl"; "capacity_lru";
+      "capacity_freq" ]
   @ [
       Alcotest.test_case "contended reads 4x4 golden bytes" `Quick
         (check_golden "data/golden_events_4x4_contended.jsonl" (fun () ->
-             hot_bytes (Diva_core.Dsm.access_tree ~arity:4 ())));
+             workload_bytes hot_spec (Diva_core.Dsm.access_tree ~arity:4 ())));
       Alcotest.test_case "remapping 4x4 golden bytes" `Quick
         (check_golden "data/golden_events_4x4_remap.jsonl" (fun () ->
-             hot_bytes
+             workload_bytes hot_spec
                (Diva_core.Dsm.access_tree ~arity:2 ~remap_threshold:8 ())));
+      Alcotest.test_case "home migration 4x4 golden bytes" `Quick
+        (check_golden "data/golden_events_4x4_migrate.jsonl" (fun () ->
+             workload_bytes migrate_spec
+               (Diva_core.Dsm.adaptive ~migrate_after:2 ())));
     ]

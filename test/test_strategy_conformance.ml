@@ -197,10 +197,12 @@ let prop_deterministic (name, spec) =
       if o1 <> o3 then QCheck.Test.fail_report "tracing perturbed the run";
       true)
 
+(* Every registry entry, plus a home-based setting that migrates every
+   two home transactions: the default window of 64 rarely fills in these
+   short runs, so only this one exercises forwarding from stale homes. *)
 let suite =
   List.concat_map
-    (fun entry ->
-      let named = (entry.Registry.name, entry.Registry.spec) in
+    (fun named ->
       List.map QCheck_alcotest.to_alcotest
         [
           prop_linearizable named;
@@ -209,4 +211,5 @@ let suite =
           prop_quiescent_invariants named;
           prop_deterministic named;
         ])
-    Registry.entries
+    (List.map (fun e -> (e.Registry.name, e.Registry.spec)) Registry.entries
+    @ [ ("adaptive_migrating", Dsm.adaptive ~migrate_after:2 ()) ])
