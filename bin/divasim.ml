@@ -101,6 +101,41 @@ let strategy_t =
 let seed_t =
   Arg.(value & opt int 17 & info [ "seed" ] ~doc:"Random seed of the run.")
 
+(* A count that must be at least one: anything else is a usage error. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer (got %S)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A combination of valid flags that the chosen app or command cannot run
+   is reported as [divasim: MSG] with exit 1, before the run starts or
+   any artifact is opened. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "divasim: %s\n" msg;
+      exit 1)
+    fmt
+
+(* Everything except matmul and bitonic runs on the DSM and so has no
+   hand-optimized baseline. *)
+let dsm_strategy ~what = function
+  | Runner.Strategy s -> s
+  | Runner.Hand_optimized ->
+      reject "%s runs on the DSM: pick a DSM strategy, not hand-optimized" what
+
+let matmul_mesh = function
+  | [| rows; cols |] when rows = cols -> (rows, cols)
+  | _ -> reject "matmul needs a square 2-D mesh"
+
+let check_bitonic_mesh dims =
+  let n = Array.fold_left ( * ) 1 dims in
+  if n land (n - 1) <> 0 then
+    reject "bitonic needs a power-of-two number of processors"
+
 let domains_t =
   Arg.(
     value & opt int 1
@@ -524,29 +559,27 @@ let matmul_cmd =
   in
   let run dims strategy block compute seed heatmap oo domains =
     note_serial ~what:"matmul" domains;
-    match dims with
-    | [| rows; cols |] when rows = cols ->
-        let params =
-          [ ("block", Diva_obs.Json.Int block);
-            ("compute", Diva_obs.Json.Bool compute) ]
-        in
-        let obs, streams =
-          make_obs oo ~app:"matmul" ~dims ~strategy:(Runner.name strategy)
-            ~seed ~params
-        in
-        let on_net, faults = capture_faults heatmap in
-        let m =
-          Runner.run_matmul ~seed ~obs ~on_net ~rows ~cols ~block ~compute
-            strategy
-        in
-        Printf.printf "matmul %dx%d, block %d, strategy %s\n" rows cols block
-          (Runner.name strategy);
-        print_measurements m;
-        print_faults !faults;
-        write_artifacts oo obs ~streams ~app:"matmul" ~dims
-          ~strategy:(Runner.name strategy) ~seed ~params
-          ~measurements:(Runner.measurement_fields m @ fault_json !faults)
-    | _ -> failwith "matmul needs a square 2-D mesh"
+    let rows, cols = matmul_mesh dims in
+    let params =
+      [ ("block", Diva_obs.Json.Int block);
+        ("compute", Diva_obs.Json.Bool compute) ]
+    in
+    let obs, streams =
+      make_obs oo ~app:"matmul" ~dims ~strategy:(Runner.name strategy)
+        ~seed ~params
+    in
+    let on_net, faults = capture_faults heatmap in
+    let m =
+      Runner.run_matmul ~seed ~obs ~on_net ~rows ~cols ~block ~compute
+        strategy
+    in
+    Printf.printf "matmul %dx%d, block %d, strategy %s\n" rows cols block
+      (Runner.name strategy);
+    print_measurements m;
+    print_faults !faults;
+    write_artifacts oo obs ~streams ~app:"matmul" ~dims
+      ~strategy:(Runner.name strategy) ~seed ~params
+      ~measurements:(Runner.measurement_fields m @ fault_json !faults)
   in
   Cmd.v (Cmd.info "matmul" ~doc:"Matrix squaring (paper 3.1)")
     Term.(
@@ -559,6 +592,7 @@ let bitonic_cmd =
   in
   let run dims strategy keys seed heatmap oo domains =
     note_serial ~what:"bitonic" domains;
+    check_bitonic_mesh dims;
     let params = [ ("keys", Diva_obs.Json.Int keys) ] in
     let obs, streams =
       make_obs oo ~app:"bitonic" ~dims ~strategy:(Runner.name strategy) ~seed
@@ -582,7 +616,7 @@ let bitonic_cmd =
 
 let nbody_cmd =
   let bodies =
-    Arg.(value & opt int 2000 & info [ "bodies" ] ~doc:"Number of bodies.")
+    Arg.(value & opt pos_int 2000 & info [ "bodies" ] ~doc:"Number of bodies.")
   in
   let steps = Arg.(value & opt int 7 & info [ "steps" ] ~doc:"Time steps.") in
   let theta =
@@ -593,12 +627,7 @@ let nbody_cmd =
   in
   let run dims strategy bodies steps theta phases seed heatmap oo domains =
     note_serial ~what:"nbody" domains;
-    let strategy =
-      match strategy with
-      | Runner.Strategy s -> s
-      | Runner.Hand_optimized ->
-          failwith "no hand-optimized baseline exists for Barnes-Hut"
-    in
+    let strategy = dsm_strategy ~what:"nbody" strategy in
     let cfg =
       { (Barnes_hut.default_config ~nbodies:bodies) with
         Barnes_hut.steps; theta }
@@ -651,11 +680,6 @@ let read_recording path =
       Printf.eprintf "divasim: %s\n" e;
       exit 1
 
-let require_dsm_strategy = function
-  | Runner.Strategy s -> s
-  | Runner.Hand_optimized ->
-      failwith "this command drives the DSM: pick a DSM strategy"
-
 let analyze_cmd =
   let app_t =
     Arg.(
@@ -677,7 +701,8 @@ let analyze_cmd =
     Arg.(value & opt int 1024 & info [ "keys" ] ~doc:"bitonic: keys per processor.")
   in
   let bodies =
-    Arg.(value & opt int 500 & info [ "bodies" ] ~doc:"nbody: number of bodies.")
+    Arg.(
+      value & opt pos_int 500 & info [ "bodies" ] ~doc:"nbody: number of bodies.")
   in
   let steps =
     Arg.(value & opt int 3 & info [ "steps" ] ~doc:"nbody: time steps.")
@@ -866,7 +891,7 @@ let analyze_cmd =
           match input with
           | `Replay path ->
               let tr = read_recording path in
-              let s = require_dsm_strategy strategy in
+              let s = dsm_strategy ~what:"replay" strategy in
               ( "replay",
                 tr.Workload.Replay.dims,
                 [ ("replay", Diva_obs.Json.String path) ],
@@ -876,18 +901,17 @@ let analyze_cmd =
                        ~mode:Workload.Replay.Closed_loop ~strategy:s tr) )
           | `Inline -> (
               match app with
-              | `Matmul -> (
-                  match dims with
-                  | [| rows; cols |] when rows = cols ->
-                      ( "matmul",
-                        dims,
-                        [ ("block", Diva_obs.Json.Int block) ],
-                        fun obs ->
-                          ignore
-                            (Runner.run_matmul ~seed ~obs ~rows ~cols
-                               ~block strategy) )
-                  | _ -> failwith "matmul needs a square 2-D mesh")
+              | `Matmul ->
+                  let rows, cols = matmul_mesh dims in
+                  ( "matmul",
+                    dims,
+                    [ ("block", Diva_obs.Json.Int block) ],
+                    fun obs ->
+                      ignore
+                        (Runner.run_matmul ~seed ~obs ~rows ~cols ~block
+                           strategy) )
               | `Bitonic ->
+                  check_bitonic_mesh dims;
                   ( "bitonic",
                     dims,
                     [ ("keys", Diva_obs.Json.Int keys) ],
@@ -896,7 +920,7 @@ let analyze_cmd =
                         (Runner.run_bitonic_nd ~seed ~obs ~dims ~keys
                            strategy) )
               | `Nbody ->
-                  let s = require_dsm_strategy strategy in
+                  let s = dsm_strategy ~what:"nbody" strategy in
                   let cfg =
                     { (Barnes_hut.default_config ~nbodies:bodies) with
                       Barnes_hut.steps }
@@ -1187,7 +1211,7 @@ let workload_cmd =
     let popularity =
       match (zipf, hot_cold) with
       | Some _, Some _ ->
-          failwith "--zipf and --hot-cold are mutually exclusive"
+          reject "--zipf and --hot-cold are mutually exclusive"
       | Some s, None -> Workload.Spec.Zipf s
       | None, Some (hot_fraction, hot_weight) ->
           Workload.Spec.Hot_cold { hot_fraction; hot_weight }
@@ -1203,7 +1227,7 @@ let workload_cmd =
     in
     (match Workload.Spec.validate spec with
     | Ok () -> ()
-    | Error e -> failwith e);
+    | Error e -> reject "%s" e);
     if smoke then (
       let dims = [| 4; 4 |] in
       let spec =
@@ -1222,7 +1246,7 @@ let workload_cmd =
       match replay with
       | Some path ->
           let tr = read_recording path in
-          let strategy = require_dsm_strategy strategy in
+          let strategy = dsm_strategy ~what:"workload" strategy in
           let obs, streams =
             make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Replay.dims
               ~strategy:(Dsm.strategy_name strategy) ~seed
@@ -1251,7 +1275,7 @@ let workload_cmd =
               @ Workload.Latency.to_fields r.Workload.Generator.latency
               @ fault_json !faults)
       | None ->
-          let strategy = require_dsm_strategy strategy in
+          let strategy = dsm_strategy ~what:"workload" strategy in
           let obs, streams =
             make_obs oo ~app:"workload" ~dims
               ~strategy:(Dsm.strategy_name strategy) ~seed
@@ -1512,7 +1536,7 @@ let traffic_cmd =
     let rows, cols =
       match dims with
       | [| r; c |] -> (r, c)
-      | _ -> failwith "traffic needs a 2-D mesh"
+      | _ -> reject "traffic needs a 2-D mesh"
     in
     if smoke then begin
       let domains = max domains 4 in
@@ -1792,7 +1816,7 @@ let serve_cmd =
       if not !ok then exit 1
     end
     else begin
-      let strategy = require_dsm_strategy strategy in
+      let strategy = dsm_strategy ~what:"serve" strategy in
       let procs = Array.fold_left ( * ) 1 dims in
       let horizon_us = horizon_ms *. 1000.0 in
       let shape =
@@ -1813,7 +1837,7 @@ let serve_cmd =
       in
       (match Service.Spec.validate spec with
       | Ok () -> ()
-      | Error e -> failwith e);
+      | Error e -> reject "%s" e);
       let params =
         Service.Spec.to_params spec
         @ [ ("scenario",

@@ -826,8 +826,6 @@ struct
   type nonrec t = t
   type config = Strategy.tree_config
 
-  let id = "access-tree"
-
   let create net (c : Strategy.tree_config) =
     let deco =
       Deco.build (Network.mesh net) ~arity:(Deco.arity_of_int c.arity)

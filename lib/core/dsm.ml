@@ -26,6 +26,7 @@ let strategy_name = Strategy.spec_name
 
 type t = {
   network : Network.t;
+  spec : Strategy.spec;
   inst : Strategy.instance;
   tree : Access_tree.t option;  (* tree-specific observability hooks *)
   sync : Sync.t;
@@ -59,6 +60,7 @@ let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
   let t =
     {
       network;
+      spec = strategy;
       inst = resolved.Registry.inst;
       tree = resolved.Registry.tree;
       sync;
@@ -274,7 +276,7 @@ let ncopies t var = Strategy.ncopies t.inst var.v
 let evictions t = Strategy.evictions t.inst
 let remaps t = Strategy.remaps t.inst
 let copy_holder_places t var = Strategy.copy_holder_places t.inst var.v
-let strategy_id t = Strategy.id t.inst
+let strategy_id t = Strategy.family_id t.spec
 let access_tree_handle t = t.tree
 let typed var = var.v
 let retire_var t var = Strategy.retire t.inst var.v

@@ -1,3 +1,35 @@
+(* The home-based ownership protocol: the paper's fixed home strategy and
+   its frequency-adaptive variant are two settings of this one module.
+
+   Every variable has a home processor, initially hashed from its seed.
+   The home keeps track of the variable's copies using the classic
+   ownership scheme: at any time either one processor or the home ("main
+   memory") owns the variable. A write by a non-owner asks the home to
+   invalidate all copies and hands ownership to the writer; a read by a
+   processor without a copy goes to the home, which first fetches the
+   data back from an owning processor, then replies. All requests for a
+   variable serialize at its home. Locks are a FIFO queue at the home.
+
+   Two parameters, motivated by the data-grids replication survey, make
+   the home adaptive:
+
+   - A reader is granted a cached replica only after [replicate_after]
+     consecutive home read misses since its last invalidation. Cold or
+     write-shared data therefore stays un-replicated and its writes pay
+     no invalidation fan-out; genuinely read-hot data converges to the
+     fixed-home behaviour after the warm-up streak.
+
+   - Every [migrate_after] home transactions the home re-examines the
+     per-processor request tally; if one processor accounts for at least
+     half the window, the home migrates to it (paying one data-sized
+     state-transfer message). Requests already in flight toward the old
+     home are forwarded, paying the detour.
+
+   Fixed home is the setting that replicates from the first miss and
+   never migrates ({!fixed}). Under it every miss qualifies and no window
+   can fill, so the streak and tally bookkeeping is skipped rather than
+   kept for nothing. *)
+
 module Network = Diva_simnet.Network
 module Prng = Diva_util.Prng
 module Trace = Diva_obs.Trace
@@ -8,7 +40,7 @@ type body =
   | Hrreq of { origin : Types.proc }
   | Hfetch
   | Hfdata
-  | Hrdata of { reader : Types.proc; epoch : int; v : Value.t }
+  | Hrdata of { reader : Types.proc; epoch : int; cacheable : bool; v : Value.t }
   | Hwreq of { origin : Types.proc; value : Value.t }
   | Hinv
   | Hinvack
@@ -16,8 +48,9 @@ type body =
   | Hlock of { origin : Types.proc }
   | Hlgrant of { origin : Types.proc }
   | Hunlock
+  | Hmove  (* home-state transfer to the new home; no handler action *)
 
-type Network.payload += Fh of { var_id : int; body : body }
+type Network.payload += Home_msg of { var_id : int; body : body }
 
 (* Home-side transactions carry the issuer's causal id: they can be
    dequeued from inside another transaction's completion, and the protocol
@@ -28,7 +61,7 @@ type txn =
 
 type hstate = {
   var : Types.var;
-  home : Types.proc;
+  mutable home : Types.proc;  (* migrates; requests to a stale home forward *)
   mutable owner : owner;
   home_copies : (Types.proc, unit) Hashtbl.t;  (* the home's registry *)
   valid : (Types.proc, unit) Hashtbl.t;  (* per-processor hit flags *)
@@ -37,26 +70,50 @@ type hstate = {
   q : txn Queue.t;
   mutable cur : txn option;
   mutable acks : int;
-  (* Lock management: FIFO queue at the home. *)
+  streak : (Types.proc, int) Hashtbl.t;
+      (* consecutive home read misses since the last invalidation *)
+  tally : (Types.proc, int) Hashtbl.t;  (* requests per proc, this window *)
+  mutable window : int;  (* home transactions since the last re-examination *)
+  (* Lock management: FIFO queue at the home (migrates with it). *)
   mutable lock_held : bool;
   lq : Types.proc Queue.t;
 }
 
 type t = {
   net : Network.t;
+  replicate_after : int;
+  migrate_after : int;
+  empty_counts : (Types.proc, int) Hashtbl.t;
+      (* shared and never written: the [streak] or [tally] of every
+         variable when the setting skips that bookkeeping *)
   vars : (int, hstate) Hashtbl.t;
   read_waiters : (int, Value.t -> unit) Hashtbl.t;  (* var_id * P + proc *)
   write_waiters : (int, unit -> unit) Hashtbl.t;
   lock_waiters : (int, unit -> unit) Hashtbl.t;
+  mutable migrations : int;
 }
 
-let create net () =
+let fixed = { Strategy.replicate_after = 1; migrate_after = max_int }
+
+(* Every miss earns a replica: no streak can change the outcome. *)
+let keeps_streaks t = t.replicate_after > 1
+
+(* A window of [max_int] home transactions never fills. *)
+let keeps_tally t = t.migrate_after < max_int
+
+let create net (c : Strategy.adaptive_config) =
+  if c.replicate_after < 1 then invalid_arg "Home.create: replicate_after";
+  if c.migrate_after < 1 then invalid_arg "Home.create: migrate_after";
   {
     net;
+    replicate_after = c.replicate_after;
+    migrate_after = c.migrate_after;
+    empty_counts = Hashtbl.create 1;
     vars = Hashtbl.create 1024;
     read_waiters = Hashtbl.create 64;
     write_waiters = Hashtbl.create 64;
     lock_waiters = Hashtbl.create 64;
+    migrations = 0;
   }
 
 let get t (var : Types.var) =
@@ -69,20 +126,22 @@ let get t (var : Types.var) =
         { var; home; owner = Owned_by var.Types.owner;
           home_copies = Hashtbl.create 4; valid = Hashtbl.create 4; epoch = 0;
           busy = false; q = Queue.create (); cur = None; acks = 0;
-          lock_held = false; lq = Queue.create () }
+          streak =
+            (if keeps_streaks t then Hashtbl.create 4 else t.empty_counts);
+          tally = (if keeps_tally t then Hashtbl.create 4 else t.empty_counts);
+          window = 0; lock_held = false; lq = Queue.create () }
       in
       Hashtbl.add s.home_copies var.Types.owner ();
       Hashtbl.add s.valid var.Types.owner ();
       Hashtbl.add t.vars var.Types.id s;
       s
 
-let home t var = (get t var).home
 let wkey t var_id p = (var_id * Network.num_nodes t.net) + p
 
 let send t hs ~src ~dst ~size body =
-  Network.send t.net ~src ~dst ~size (Fh { var_id = hs.var.Types.id; body })
+  Network.send t.net ~src ~dst ~size (Home_msg { var_id = hs.var.Types.id; body })
 
-(* Fixed home has no access tree: copy events carry tnode/level -1. *)
+(* No access tree: copy events carry tnode/level -1. *)
 let trace_copy t hs node change =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
@@ -106,10 +165,22 @@ let send_data t hs ~src ~dst body =
 (* ------------------------------------------------------------------ *)
 
 let reply_read t hs origin =
-  (* Serialisation point of the read: the home sends the current value. *)
-  Hashtbl.replace hs.home_copies origin ();
+  let cacheable =
+    (not (keeps_streaks t))
+    || begin
+         let s =
+           1 + Option.value ~default:0 (Hashtbl.find_opt hs.streak origin)
+         in
+         Hashtbl.replace hs.streak origin s;
+         s >= t.replicate_after
+       end
+  in
+  (* Non-cacheable readers are not registered: their reply is a one-shot
+     value and later writes need not invalidate them. *)
+  if cacheable then Hashtbl.replace hs.home_copies origin ();
   send_data t hs ~src:hs.home ~dst:origin
-    (Hrdata { reader = origin; epoch = hs.epoch; v = hs.var.Types.value });
+    (Hrdata { reader = origin; epoch = hs.epoch; cacheable;
+              v = hs.var.Types.value });
   hs.cur <- None;
   hs.busy <- false
 
@@ -118,6 +189,8 @@ let commit_write t hs origin value =
   hs.epoch <- hs.epoch + 1;
   Hashtbl.reset hs.home_copies;
   Hashtbl.add hs.home_copies origin ();
+  (* An invalidation ends every replication streak. *)
+  if keeps_streaks t then Hashtbl.reset hs.streak;
   hs.owner <- Owned_by origin;
   send_ctl t hs ~src:hs.home ~dst:origin (Hgrant { origin });
   hs.cur <- None;
@@ -128,6 +201,14 @@ let rec process t hs =
     let txn = Queue.pop hs.q in
     hs.busy <- true;
     hs.cur <- Some txn;
+    if keeps_tally t then begin
+      hs.window <- hs.window + 1;
+      let origin =
+        match txn with Tread { origin; _ } | Twrite { origin; _ } -> origin
+      in
+      Hashtbl.replace hs.tally origin
+        (1 + Option.value ~default:0 (Hashtbl.find_opt hs.tally origin))
+    end;
     Network.set_txn t.net
       (match txn with Tread { t_txn; _ } | Twrite { t_txn; _ } -> t_txn);
     match txn with
@@ -155,8 +236,40 @@ let rec process t hs =
         end
   end
 
+(* Re-examine the home placement once per window, only at quiescence (so
+   a migration never races a home transaction's own messages). The tally
+   argmax scans processor ids in ascending order — deterministic ties. *)
+let maybe_migrate t hs =
+  if (not hs.busy) && Queue.is_empty hs.q && hs.window >= t.migrate_after
+  then begin
+    let w = hs.window in
+    let best = ref (-1) and bestn = ref 0 in
+    for p = 0 to Network.num_nodes t.net - 1 do
+      match Hashtbl.find_opt hs.tally p with
+      | Some n when n > !bestn ->
+          best := p;
+          bestn := n
+      | _ -> ()
+    done;
+    hs.window <- 0;
+    Hashtbl.reset hs.tally;
+    if 2 * !bestn >= w && !best >= 0 && !best <> hs.home then begin
+      let old = hs.home in
+      hs.home <- !best;
+      t.migrations <- t.migrations + 1;
+      let tr = Network.trace t.net in
+      if Trace.enabled tr then
+        Trace.emit tr
+          (Trace.Remap
+             { ts = Network.now t.net; var = hs.var.Types.id;
+               var_name = hs.var.Types.name; tnode = -1; level = -1;
+               from_node = old; to_node = !best });
+      send_data t hs ~src:old ~dst:!best Hmove
+    end
+  end
+
 let on_home_msg t hs body =
-  match body with
+  (match body with
   | Hrreq { origin } ->
       Queue.add (Tread { origin; t_txn = Network.cur_txn t.net }) hs.q;
       process t hs
@@ -192,7 +305,8 @@ let on_home_msg t hs body =
         let nxt = Queue.pop hs.lq in
         send_ctl t hs ~src:hs.home ~dst:nxt (Hlgrant { origin = nxt })
       end
-  | Hfetch | Hinv | Hrdata _ | Hgrant _ | Hlgrant _ -> assert false
+  | Hfetch | Hinv | Hrdata _ | Hgrant _ | Hlgrant _ | Hmove -> assert false);
+  maybe_migrate t hs
 
 let on_proc_msg t hs me body =
   match body with
@@ -203,9 +317,9 @@ let on_proc_msg t hs me body =
       if Hashtbl.mem hs.valid me then trace_copy t hs me `Drop;
       Hashtbl.remove hs.valid me;
       send_ctl t hs ~src:me ~dst:hs.home Hinvack
-  | Hrdata { reader; epoch; v } ->
+  | Hrdata { reader; epoch; cacheable; v } ->
       assert (reader = me);
-      if epoch = hs.epoch then begin
+      if cacheable && epoch = hs.epoch then begin
         if not (Hashtbl.mem hs.valid me) then trace_copy t hs me `Add;
         Hashtbl.replace hs.valid me ()
       end;
@@ -233,22 +347,32 @@ let on_proc_msg t hs me body =
           Hashtbl.remove t.lock_waiters key;
           k ()
       | None -> assert false)
-  | Hrreq _ | Hwreq _ | Hfdata | Hinvack | Hlock _ | Hunlock -> assert false
+  | Hrreq _ | Hwreq _ | Hfdata | Hinvack | Hlock _ | Hunlock | Hmove ->
+      assert false
 
 let handle t (msg : Network.msg) =
   match msg.Network.m_payload with
-  | Fh { var_id; body } ->
+  | Home_msg { body = Hmove; _ } ->
+      (* State already moved with the [home] field; the message only pays
+         the transfer cost. Tolerated even if the variable was retired
+         while the transfer travelled. *)
+      true
+  | Home_msg { var_id; body } ->
       let hs =
         match Hashtbl.find_opt t.vars var_id with
         | Some s -> s
-        | None -> failwith "Fixed_home.handle: message for unknown variable"
+        | None -> failwith "Home.handle: message for unknown variable"
       in
       let me = msg.Network.m_dst in
       (match body with
       | Hrreq _ | Hwreq _ | Hfdata | Hinvack | Hlock _ | Hunlock ->
-          on_home_msg t hs body
+          if me <> hs.home then
+            (* The home migrated while this request travelled: forward. *)
+            send_ctl t hs ~src:me ~dst:hs.home body
+          else on_home_msg t hs body
       | Hfetch | Hinv | Hrdata _ | Hgrant _ | Hlgrant _ ->
-          on_proc_msg t hs me body);
+          on_proc_msg t hs me body
+      | Hmove -> assert false);
       true
   | _ -> false
 
@@ -283,6 +407,8 @@ let unlock t p var =
   send_ctl t hs ~src:p ~dst:hs.home Hunlock
 
 let ncopies t var = Hashtbl.length (get t var).valid
+
+(* Copy holders already are mesh processors: no tree nodes to map. *)
 let copy_holders t var =
   List.sort compare
     (Hashtbl.fold (fun p () acc -> p :: acc) (get t var).valid [])
@@ -317,13 +443,12 @@ let validate t (var : Types.var) =
 (* STRATEGY instance                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Impl : Strategy.STRATEGY with type t = t and type config = unit =
-struct
+module Impl :
+  Strategy.STRATEGY with type config = Strategy.adaptive_config = struct
   type nonrec t = t
-  type config = unit
+  type config = Strategy.adaptive_config
 
-  let id = "fixed-home"
-  let create net () = create net ()
+  let create = create
   let sync_deco _ = None
   let handle = handle
   let cached = cached
@@ -333,12 +458,9 @@ struct
   let lock = lock
   let unlock = unlock
   let ncopies = ncopies
-
-  (* Copy holders already are mesh processors under fixed home. *)
   let copy_holder_places = copy_holders
-
   let evictions _ = 0
-  let remaps _ = 0
+  let remaps t = t.migrations
   let retire = retire
   let validate = validate
 end

@@ -83,6 +83,14 @@ type resolved = {
 
 let default_deco net = Deco.build (Network.mesh net) ~arity:Deco.Four ~leaf_size:1
 
+(* Fixed home is the home-based protocol's no-adaptation setting. *)
+let home net c =
+  {
+    inst = Strategy.Instance ((module Home.Impl), Home.Impl.create net c);
+    sync_deco = default_deco net;
+    tree = None;
+  }
+
 let instantiate net (spec : Strategy.spec) =
   match spec with
   | Strategy.Access_tree c ->
@@ -92,17 +100,5 @@ let instantiate net (spec : Strategy.spec) =
         sync_deco = Access_tree.deco at;
         tree = Some at;
       }
-  | Strategy.Fixed_home ->
-      let fh = Fixed_home.Impl.create net () in
-      {
-        inst = Strategy.Instance ((module Fixed_home.Impl), fh);
-        sync_deco = default_deco net;
-        tree = None;
-      }
-  | Strategy.Adaptive c ->
-      let ad = Adaptive.Impl.create net c in
-      {
-        inst = Strategy.Instance ((module Adaptive.Impl), ad);
-        sync_deco = default_deco net;
-        tree = None;
-      }
+  | Strategy.Fixed_home -> home net Home.fixed
+  | Strategy.Adaptive c -> home net c

@@ -1,9 +1,9 @@
 (* First-class data-management strategy interface.
 
-   Every contender — the paper's access tree and fixed home, plus the
-   strategy-zoo additions (tree prefetching, adaptive replication with
-   home migration, capacity-bounded caching) — implements the one
-   STRATEGY signature below and is packed into an existential [instance].
+   Every protocol — the paper's access tree (which also serves the zoo's
+   tree prefetching and capacity-bounded caching) and the home-based
+   protocol (the paper's fixed home, and adaptive replication with home
+   migration) — implements the one STRATEGY signature below and is packed into an existential [instance].
    The [Dsm] façade talks only to instances; the [Registry] maps names to
    configured [spec]s so every tool (divasim, bench, chaos, serve,
    analyze) resolves strategies uniformly. *)
@@ -74,6 +74,14 @@ let spec_name = function
   | Access_tree c -> tree_name c
   | Adaptive _ -> "adaptive-home"
 
+(* Family identifiers: which variant of [spec] was chosen, whatever its
+   configuration. Fixed home and adaptive share one protocol, so the
+   family cannot come from the implementation. *)
+let family_id = function
+  | Access_tree _ -> "access-tree"
+  | Fixed_home -> "fixed-home"
+  | Adaptive _ -> "adaptive"
+
 (* The one signature every strategy implements: init (create), the
    read/write data hooks, lock/unlock, the sync-tree hook, copy-set and
    cost accounting, and the structural test hooks. Causal-id threading is
@@ -82,9 +90,6 @@ let spec_name = function
 module type STRATEGY = sig
   type t
   type config
-
-  val id : string
-  (** Short family identifier ("access-tree", "fixed-home", ...). *)
 
   val create : Diva_simnet.Network.t -> config -> t
   (** Init hook: build all protocol state. Must not install network
@@ -128,7 +133,6 @@ type instance =
 
 (* Generic dispatchers over a packed instance. *)
 
-let id (Instance ((module S), _)) = S.id
 let sync_deco (Instance ((module S), s)) = S.sync_deco s
 let handle (Instance ((module S), s)) msg = S.handle s msg
 let cached (Instance ((module S), s)) p var = S.cached s p var

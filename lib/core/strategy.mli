@@ -46,12 +46,12 @@ val tree_name : tree_config -> string
 val spec_name : spec -> string
 (** "2-ary", "4-16-ary", "fixed home", "4-ary+prefetch", ... *)
 
+val family_id : spec -> string
+(** Short family identifier: "access-tree", "fixed-home" or "adaptive". *)
+
 module type STRATEGY = sig
   type t
   type config
-
-  val id : string
-  (** Short family identifier ("access-tree", "fixed-home", ...). *)
 
   val create : Diva_simnet.Network.t -> config -> t
   (** Init hook: build all protocol state. Must not install network
@@ -95,7 +95,6 @@ type instance =
 
 (** {2 Generic dispatchers} *)
 
-val id : instance -> string
 val sync_deco : instance -> Diva_mesh.Decomposition.t option
 val handle : instance -> Diva_simnet.Network.msg -> bool
 val cached : instance -> Types.proc -> Types.var -> bool

@@ -124,7 +124,7 @@ type event =
       node : int;
       var : int;
       var_name : string;
-      tnode : int;  (** access-tree node id; [-1] under fixed-home *)
+      tnode : int;  (** access-tree node id; [-1] under a home-based strategy *)
       level : int;  (** tree depth of [tnode] (root 0); [-1] if no tree *)
     }
   | Copy_drop of {
@@ -146,7 +146,9 @@ type event =
       to_node : int;
     }
       (** FOCS'97 variant: tree node [tnode] migrated to a fresh random
-          processor of its submesh. *)
+          processor of its submesh. Also records an adaptive home
+          migrating from [from_node] to [to_node]; [tnode] and [level]
+          are then [-1]. *)
   | Msg_lost of {
       ts : float;
       msg : int;  (** id of the lost {!Msg_send} ([-1] for acks) *)
