@@ -1,34 +1,9 @@
-(* The home-based ownership protocol: the paper's fixed home strategy and
-   its frequency-adaptive variant are two settings of this one module.
+(* The home-based ownership protocol. home.mli describes the protocol and
+   its two parameters; docs/PROTOCOL.md section 2 gives the message flow.
 
-   Every variable has a home processor, initially hashed from its seed.
-   The home keeps track of the variable's copies using the classic
-   ownership scheme: at any time either one processor or the home ("main
-   memory") owns the variable. A write by a non-owner asks the home to
-   invalidate all copies and hands ownership to the writer; a read by a
-   processor without a copy goes to the home, which first fetches the
-   data back from an owning processor, then replies. All requests for a
-   variable serialize at its home. Locks are a FIFO queue at the home.
-
-   Two parameters, motivated by the data-grids replication survey, make
-   the home adaptive:
-
-   - A reader is granted a cached replica only after [replicate_after]
-     consecutive home read misses since its last invalidation. Cold or
-     write-shared data therefore stays un-replicated and its writes pay
-     no invalidation fan-out; genuinely read-hot data converges to the
-     fixed-home behaviour after the warm-up streak.
-
-   - Every [migrate_after] home transactions the home re-examines the
-     per-processor request tally; if one processor accounts for at least
-     half the window, the home migrates to it (paying one data-sized
-     state-transfer message). Requests already in flight toward the old
-     home are forwarded, paying the detour.
-
-   Fixed home is the setting that replicates from the first miss and
-   never migrates ({!fixed}). Under it every miss qualifies and no window
-   can fill, so the streak and tally bookkeeping is skipped rather than
-   kept for nothing. *)
+   Fixed home ({!fixed}) replicates from the first miss and never
+   migrates. Under it every miss qualifies and no window can fill, so the
+   streak and tally bookkeeping is skipped rather than kept for nothing. *)
 
 module Network = Diva_simnet.Network
 module Prng = Diva_util.Prng
