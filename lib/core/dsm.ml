@@ -4,6 +4,7 @@ module Machine = Diva_simnet.Machine
 module Sim = Diva_simnet.Sim
 module Prng = Diva_util.Prng
 module Trace = Diva_obs.Trace
+module Prof = Diva_obs.Prof
 module Faults = Diva_faults.Faults
 
 type strategy = Strategy.spec =
@@ -77,25 +78,17 @@ let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
   let dispatch =
     (* Unpack the existential once; the closure is installed on every
        node, so this match must not sit on the per-message path. The
-       profiler is likewise looked up once — observability is installed
-       before the DSM is created (Runner.install_obs), and attaching a
-       profiler to a network with a live DSM is unsupported — so the
-       unprofiled dispatch path stays exactly as it was. *)
+       strategy handler books to [Strategy] in the network's attribution
+       cell, which any profiler attached before or after this point
+       samples. *)
     let (Strategy.Instance ((module S), s)) = t.inst in
-    match Network.prof network with
-    | None ->
-        fun net msg ->
-          if not (S.handle s msg || Sync.handle t.sync msg) then
-            Network.mailbox_deliver net msg
-    | Some p ->
-        let module Prof = Diva_obs.Prof in
-        fun net msg ->
-          (* Refine the attribution for the strategy handler. *)
-          Prof.set_sub p Prof.Strategy;
-          let handled = S.handle s msg in
-          Prof.set_sub p Prof.Protocol;
-          if not (handled || Sync.handle t.sync msg) then
-            Network.mailbox_deliver net msg
+    let cell = Sim.cell (Network.sim network) in
+    fun net msg ->
+      cell.sub <- Prof.Strategy;
+      let handled = S.handle s msg in
+      cell.sub <- Prof.Protocol;
+      if not (handled || Sync.handle t.sync msg) then
+        Network.mailbox_deliver net msg
   in
   for node = 0 to Network.num_nodes network - 1 do
     Network.set_handler network node dispatch

@@ -70,12 +70,6 @@ let install_obs net obs =
                 Diva_obs.Flight.dump fl ~reason:"dsm watchdog trip")
         | None -> ())
 
-let fault_fields net =
-  match Network.faults net with
-  | None -> []
-  | Some f ->
-      [ ("faults", Diva_obs.Json.Obj (Diva_faults.Faults.report_fields f)) ]
-
 let measurement_fields (m : measurements) =
   let open Diva_obs.Json in
   [
@@ -138,23 +132,6 @@ let run_matmul ?(seed = 17) ?(obs = null_obs) ?on_net ~rows ~cols ~block
       finish ?on_net ~obs net;
       collect net (Some dsm)
 
-let run_bitonic ?(seed = 17) ?(obs = null_obs) ?on_net ~rows ~cols ~keys
-    ?(compute = true) choice =
-  let net = Network.create ~seed ~rows ~cols () in
-  install_obs net obs;
-  match choice with
-  | Hand_optimized ->
-      let app = Bitonic_handopt.setup net { Bitonic_handopt.keys; compute } in
-      spawn_all net (fun p -> Bitonic_handopt.fiber app p);
-      finish ?on_net ~obs net;
-      collect net None
-  | Strategy strategy ->
-      let dsm = Dsm.create net ~strategy () in
-      let app = Bitonic.setup dsm { Bitonic.keys; compute } in
-      spawn_all net (fun p -> Bitonic.fiber app p);
-      finish ?on_net ~obs net;
-      collect net (Some dsm)
-
 type bh_result = {
   bh_total : measurements;
   bh_phase : Barnes_hut.phase -> measurements;
@@ -210,13 +187,12 @@ let run_barnes_hut_on ?(obs = null_obs) ?on_net net ~cfg strategy =
           (List.filter (fun iv -> iv.Barnes_hut.i_phase = ph) ivs));
   }
 
-let run_barnes_hut ?(seed = 17) ?obs ?on_net ~rows ~cols ~cfg strategy =
-  run_barnes_hut_on ?obs ?on_net (Network.create ~seed ~rows ~cols ()) ~cfg
-    strategy
-
 let run_barnes_hut_nd ?(seed = 17) ?obs ?on_net ~dims ~cfg strategy =
   run_barnes_hut_on ?obs ?on_net (Network.create_nd ~seed ~dims ()) ~cfg
     strategy
+
+let run_barnes_hut ?seed ?obs ?on_net ~rows ~cols ~cfg strategy =
+  run_barnes_hut_nd ?seed ?obs ?on_net ~dims:[| rows; cols |] ~cfg strategy
 
 let run_bitonic_nd ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys
     ?(compute = true) choice =
@@ -234,3 +210,7 @@ let run_bitonic_nd ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys
       spawn_all net (fun p -> Bitonic.fiber app p);
       finish ?on_net ~obs net;
       collect net (Some dsm)
+
+let run_bitonic ?seed ?obs ?on_net ~rows ~cols ~keys ?compute choice =
+  run_bitonic_nd ?seed ?obs ?on_net ~dims:[| rows; cols |] ~keys ?compute
+    choice

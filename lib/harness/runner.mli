@@ -47,11 +47,6 @@ type obs = {
 
 val null_obs : obs
 
-val fault_fields : Diva_simnet.Network.t -> (string * Diva_obs.Json.t) list
-(** The run report's [faults] section: empty without an installed fault
-    schedule, otherwise one ["faults"] object with the schedule summary,
-    loss/retransmission counters and DSM re-issue count. *)
-
 val measurement_fields : measurements -> (string * Diva_obs.Json.t) list
 (** All measurement fields as JSON key/values (run manifests, BENCH files). *)
 

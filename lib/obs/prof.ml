@@ -18,6 +18,12 @@ let sub_of_id = function
   | 4 -> Strategy
   | _ -> Analysis
 
+(* The attribution cell: a record with one immediate field, so a store
+   to it is a plain word write (no write barrier) at every call site. *)
+type cell = { mutable sub : subsystem }
+
+let cell () = { sub = Host }
+
 let subsystem_name = function
   | Host -> "host"
   | Event_loop -> "event_loop"
@@ -43,9 +49,9 @@ type t = {
   sample_period_s : float;
   t0 : float;
   gc0 : Gc.stat;
-  (* hot-path attribution: the signal handler reads [cur] and bumps
-     [samples]; both are plain ints so the handler never allocates. *)
-  mutable cur : int;
+  (* hot-path attribution: the signal handler reads [cell] and bumps
+     [samples]; neither allocates. *)
+  mutable cell : cell;
   samples : int array;
   mutable armed : bool;
   mutable prev_sigprof : Sys.signal_behavior option;
@@ -82,7 +88,7 @@ let create ?(window_us = 1000.0) ?(sample_period_s = 0.01) () =
     sample_period_s;
     t0 = now;
     gc0 = Gc.quick_stat ();
-    cur = sub_id Host;
+    cell = cell ();
     samples = Array.make num_subs 0;
     armed = false;
     prev_sigprof = None;
@@ -102,16 +108,16 @@ let create ?(window_us = 1000.0) ?(sample_period_s = 0.01) () =
 
 let window_us t = t.window_us
 
-(* Called with a constant constructor on the per-event path; inlining
-   folds the id match away, leaving a single word store. *)
-let[@inline] set_sub t s = t.cur <- sub_id s
-let cur_sub t = sub_of_id t.cur
+let watch t c = t.cell <- c
+let set_sub t s = t.cell.sub <- s
+let cur_sub t = t.cell.sub
 
 let with_sub t s f =
-  let saved = t.cur in
-  t.cur <- sub_id s;
+  let c = t.cell in
+  let saved = c.sub in
+  c.sub <- s;
   let r = f () in
-  t.cur <- saved;
+  c.sub <- saved;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +139,9 @@ let arm t =
            (Sys.Signal_handle
               (fun _ ->
                 match !active with
-                | Some p -> p.samples.(p.cur) <- p.samples.(p.cur) + 1
+                | Some p ->
+                    let i = sub_id p.cell.sub in
+                    p.samples.(i) <- p.samples.(i) + 1
                 | None -> ())));
     ignore
       (Unix.setitimer Unix.ITIMER_PROF

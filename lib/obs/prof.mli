@@ -8,11 +8,13 @@
     to an unprofiled one):
 
     - {b Subsystem sampling.} Instrumented layers publish "what am I
-      running right now" with a one-word store ({!set_sub}); a POSIX
-      interval timer ([ITIMER_PROF], CPU time) delivers a signal every few
-      milliseconds whose handler increments one integer per subsystem. The
-      time split is statistical — sample share approximates CPU share —
-      and the steady-state cost is one store per event plus one signal per
+      running right now" with a one-word store into an attribution
+      {!cell}; a POSIX interval timer ([ITIMER_PROF], CPU time) delivers a
+      signal every few milliseconds whose handler increments one integer
+      per subsystem. The time split is statistical — sample share
+      approximates CPU share. Every network's event loop owns a cell and
+      writes it on each transition whether or not a profiler watches it,
+      so the stores cost the same in every run; arming adds one signal per
       sampling period, far below the 3% budget the bench gate enforces.
 
     - {b Window series.} {!sample} is driven on simulated-clock boundaries
@@ -44,6 +46,15 @@ type subsystem = Host | Event_loop | Dispatch | Protocol | Strategy | Analysis
 
 val subsystem_name : subsystem -> string
 
+type cell = { mutable sub : subsystem }
+(** A one-word attribution cell: the subsystem running right now. A store
+    to [sub] is a plain word write, cheap enough for the per-event path.
+    Each simulator ([Diva_simnet.Sim]) owns one; never share a cell
+    between simulations that run on different domains. *)
+
+val cell : unit -> cell
+(** A fresh cell reading [Host]. *)
+
 val create : ?window_us:float -> ?sample_period_s:float -> unit -> t
 (** [window_us] (default 1000.0) is the simulated-time width of one series
     row; [sample_period_s] (default 0.01) the CPU-time period of the
@@ -57,8 +68,13 @@ val window_us : t -> float
 
 (** {2 Hot-path attribution} *)
 
+val watch : t -> cell -> unit
+(** Sample [cell] from now on: the signal handler, {!set_sub},
+    {!cur_sub} and {!with_sub} all go through it. A fresh profiler
+    watches a private cell of its own. *)
+
 val set_sub : t -> subsystem -> unit
-(** One word store; safe (and cheap) on the per-event path. *)
+(** One word store into the watched cell. *)
 
 val cur_sub : t -> subsystem
 

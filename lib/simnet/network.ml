@@ -92,6 +92,7 @@ type t = {
   mutable startup_count : int;
   mutable fibers : int;
   mutable trace : Trace.sink;
+  cell : Prof.cell;  (* [Sim.cell sim]: the layer running right now *)
   mutable prof : Prof.t option;
   mutable rel : reliable option;  (* Some iff an active fault schedule is installed *)
   (* Causal context. [cur_msg]/[cur_txn] identify the message (and the DSM
@@ -144,8 +145,9 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
   let mesh = Mesh.create_nd ~dims in
   let n = Mesh.num_nodes mesh in
   let nl = Mesh.num_links mesh in
+  let sim = Sim.create () in
   {
-    sim = Sim.create ();
+    sim;
     mesh;
     machine;
     root_rng = Prng.create ~seed;
@@ -166,6 +168,7 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
     startup_count = 0;
     fibers = 0;
     trace = Trace.null;
+    cell = Sim.cell sim;
     prof = None;
     rel = None;
     next_msg_id = 0;
@@ -230,12 +233,24 @@ let set_faults t f =
 
 let faults t = Option.map (fun r -> r.rl_faults) t.rel
 
-(* Standard observability gauges plus a periodic sampler on the simulated
-   clock. Sampling only reads state (the Sim advance hook schedules
-   nothing), so attaching metrics cannot perturb the run. *)
-let attach_metrics t ?(interval = 1000.0) m =
+(* Call [f b] for every boundary [b = interval, 2 * interval, ...] the
+   simulated clock passes, after the last event before [b]. Sampling only
+   reads state (the Sim advance hook schedules nothing), so a periodic
+   sampler cannot perturb the run. *)
+let every t ~what interval f =
   if not (Float.is_finite interval) || interval <= 0.0 then
-    invalid_arg "Network.attach_metrics: interval must be positive";
+    invalid_arg (Printf.sprintf "Network.%s: interval must be positive" what);
+  let next = ref interval in
+  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
+      while !next <= new_clock do
+        f !next;
+        next := !next +. interval
+      done)
+
+(* Standard observability gauges plus a periodic sampler on the simulated
+   clock; each sample reads the gauges registered by then. *)
+let attach_metrics t ?(interval = 1000.0) m =
+  every t ~what:"attach_metrics" interval (fun ts -> Metrics.sample m ~ts);
   let busy free = float_of_int (Array.fold_left
       (fun acc f -> if f > Sim.now t.sim then acc + 1 else acc) 0 free)
   in
@@ -262,29 +277,18 @@ let attach_metrics t ?(interval = 1000.0) m =
       Metrics.gauge m "faults_retransmits"
         (fun () -> float_of_int (Faults.retransmits f));
       Metrics.gauge m "faults_pending"
-        (fun () -> float_of_int (Hashtbl.length rel.rl_pending)));
-  let next = ref interval in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Metrics.sample m ~ts:!next;
-        next := !next +. interval
-      done)
+        (fun () -> float_of_int (Hashtbl.length rel.rl_pending)))
 
-(* Host-side self-profiling: route the event loop through its profiled
-   twin and drive the window series from the same observe-only advance
-   hook the metrics sampler uses. Attribution refinements below (protocol
-   layer, strategy handlers) key off [t.prof]. *)
+(* Host-side self-profiling: sample the network's attribution cell, which
+   the event loop, the dispatch below and the strategy handlers write
+   whether or not a profiler is attached, and drive the window series
+   from a periodic sampler. *)
 let attach_prof t p =
   t.prof <- Some p;
-  Sim.set_prof t.sim p;
+  Prof.watch p t.cell;
   Prof.arm p;
-  let w = Prof.window_us p in
-  let next = ref w in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Prof.sample p ~sim_us:!next ~events:(Sim.events_executed t.sim);
-        next := !next +. w
-      done)
+  every t ~what:"attach_prof" (Prof.window_us p) (fun sim_us ->
+      Prof.sample p ~sim_us ~events:(Sim.events_executed t.sim))
 
 let prof t = t.prof
 
@@ -293,29 +297,23 @@ let prof t = t.prof
    sink before anyone keeps a reference); this attaches only the periodic
    snapshot hook. *)
 let attach_flight t ?(interval = 5000.0) fl =
-  if not (Float.is_finite interval) || interval <= 0.0 then
-    invalid_arg "Network.attach_flight: interval must be positive";
-  let next = ref interval in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Flight.snapshot fl
-          {
-            Flight.sn_wall = Unix.gettimeofday ();
-            sn_sim_us = !next;
-            sn_events = Sim.events_executed t.sim;
-            sn_pending = Sim.pending t.sim;
-            sn_fibers = t.fibers;
-            sn_inflight =
-              (match t.rel with
-              | Some rel -> Hashtbl.length rel.rl_pending
-              | None -> 0);
-            sn_reissues =
-              (match t.rel with
-              | Some rel -> Faults.dsm_reissues rel.rl_faults
-              | None -> 0);
-          };
-        next := !next +. interval
-      done)
+  every t ~what:"attach_flight" interval (fun sn_sim_us ->
+      Flight.snapshot fl
+        {
+          Flight.sn_wall = Unix.gettimeofday ();
+          sn_sim_us;
+          sn_events = Sim.events_executed t.sim;
+          sn_pending = Sim.pending t.sim;
+          sn_fibers = t.fibers;
+          sn_inflight =
+            (match t.rel with
+            | Some rel -> Hashtbl.length rel.rl_pending
+            | None -> 0);
+          sn_reissues =
+            (match t.rel with
+            | Some rel -> Faults.dsm_reissues rel.rl_faults
+            | None -> 0);
+        })
 
 (* Reserve the node's CPU for [dt] starting no earlier than [from]; returns
    the completion time. Pending charged computation is folded in first. *)
@@ -359,9 +357,7 @@ and run_dispatch dc =
   let t = dc.dx_net in
   t.cur_msg <- dc.dx_id;
   t.cur_txn <- dc.dx_txn;
-  (match t.prof with
-  | Some p -> Prof.set_sub p Prof.Protocol
-  | None -> ());
+  t.cell.sub <- Prof.Protocol;
   dispatch t dc.dx_msg;
   t.cur_msg <- -1;
   t.cur_txn <- -1
@@ -572,17 +568,15 @@ let post t ~tag ~src ~dst ~size payload =
         arm_timeout t rel seq p ~from:t.walk.wk_outcome
   end
 
-(* Under a profiler the send's own work (routing, link walk, queue insert)
-   is booked to [Protocol], then the caller's layer — typically a strategy
-   handler — is restored. *)
+(* The send's own work (routing, link walk, queue insert) books to
+   [Protocol], then the caller's layer — typically a strategy handler — is
+   restored. *)
 let send t ?(tag = -1) ~src ~dst ~size payload =
-  match t.prof with
-  | None -> post t ~tag ~src ~dst ~size payload
-  | Some p ->
-      let saved = Prof.cur_sub p in
-      Prof.set_sub p Prof.Protocol;
-      post t ~tag ~src ~dst ~size payload;
-      Prof.set_sub p saved
+  let cell = t.cell in
+  let saved = cell.sub in
+  cell.sub <- Prof.Protocol;
+  post t ~tag ~src ~dst ~size payload;
+  cell.sub <- saved
 
 (* Forced early retransmission of the envelopes still pending from [src],
    in seq order for determinism. The DSM watchdog calls this when a

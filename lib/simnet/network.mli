@@ -59,9 +59,9 @@ val send :
     destination handler. Callable from fibers and handlers alike. [tag]
     (default [-1], untagged; tags must be [>= 0]) keys the receiver's
     selective receive — see {!recv}. Tags survive the reliable-delivery
-    envelope under fault injection. Under an attached profiler the send's
-    own work counts as [Prof.Protocol], and the caller's subsystem is
-    restored on return. *)
+    envelope under fault injection. The send's own work counts as
+    [Prof.Protocol] in the attribution cell ({!Sim.cell}), and the
+    caller's subsystem is restored on return. *)
 
 val set_handler : t -> Diva_mesh.Mesh.node -> (t -> msg -> unit) -> unit
 (** Replace the node's message handler. The default handler enqueues into
@@ -177,13 +177,13 @@ val attach_metrics : t -> ?interval:float -> Diva_obs.Metrics.t -> unit
     state after the last event before each boundary. *)
 
 val attach_prof : t -> Diva_obs.Prof.t -> unit
-(** Install a self-profiler: route {!run} through the event loop's
-    profiled twin, arm the statistical subsystem sampler, and drive the
-    profiler's window series from the (observe-only) advance hook — one
-    row per [Prof.window_us] of simulated time. A profiled run is
-    byte-identical to an unprofiled one. Attach before creating protocol
-    layers (the DSM captures the profiler once, at dispatch-closure
-    creation); [Runner.install_obs] runs first and satisfies this. *)
+(** Install a self-profiler: make it sample this network's attribution
+    cell ({!Sim.cell}), arm the statistical subsystem sampler, and drive
+    the profiler's window series from the (observe-only) advance hook —
+    one row per [Prof.window_us] of simulated time. The event loop and
+    the protocol layers write the cell whether or not a profiler is
+    attached, so attaching works before or after a DSM is created. A
+    profiled run is byte-identical to an unprofiled one. *)
 
 val prof : t -> Diva_obs.Prof.t option
 

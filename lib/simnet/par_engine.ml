@@ -138,15 +138,15 @@ let cross b f =
 
 (* ------------------------------------------------------------------ *)
 
-(* Per-domain wall-clock accounting, filled by [run ?telemetry]. All
-   writes are either domain-local (each domain owns its [dom_stat]) or
-   made while holding the barrier lock (window count), so recording needs
-   no extra synchronization — and nothing in the model reads any of it,
-   so a telemetered run stays byte-identical. *)
+(* Per-domain wall-clock accounting, kept by every [run] and copied out
+   under [?telemetry]. All writes are either domain-local (each domain owns
+   its [dom_stat]) or made while holding the barrier lock (window count),
+   so recording needs no extra synchronization — and nothing in the model
+   reads any of it, so timing cannot perturb a run. All-float, so the
+   per-window updates store unboxed. *)
 type dom_stat = {
   mutable d_busy_s : float;  (* executing events + draining outboxes *)
   mutable d_barrier_s : float;  (* waiting at the two window barriers *)
-  mutable d_events : int;
 }
 
 type telemetry = {
@@ -154,6 +154,7 @@ type telemetry = {
   mutable tl_windows : int;
   mutable tl_wall_s : float;
   mutable tl_doms : dom_stat array;
+  mutable tl_dom_events : int array;
   mutable tl_shard_events : int array;
 }
 
@@ -163,6 +164,7 @@ let telemetry_create () =
     tl_windows = 0;
     tl_wall_s = 0.0;
     tl_doms = [||];
+    tl_dom_events = [||];
     tl_shard_events = [||];
   }
 
@@ -196,15 +198,15 @@ let telemetry_json tl =
       ( "domains_detail",
         List
           (Array.to_list
-             (Array.map
-                (fun d ->
+             (Array.map2
+                (fun d events ->
                   Obj
                     [
                       ("busy_s", Float d.d_busy_s);
                       ("barrier_s", Float d.d_barrier_s);
-                      ("events", Int d.d_events);
+                      ("events", Int events);
                     ])
-                tl.tl_doms)) );
+                tl.tl_doms tl.tl_dom_events)) );
       ( "shard_events",
         List
           (Array.to_list
@@ -222,20 +224,11 @@ let min_pending t =
 let run ?(domains = 1) ?telemetry t ~handler =
   let s = Array.length t.shards in
   let domains = max 1 (min domains s) in
-  let run0 = match telemetry with Some _ -> Unix.gettimeofday () | None -> 0.0 in
+  let run0 = Unix.gettimeofday () in
   let doms =
-    match telemetry with
-    | None -> [||]
-    | Some tl ->
-        let d =
-          Array.init domains (fun _ ->
-              { d_busy_s = 0.0; d_barrier_s = 0.0; d_events = 0 })
-        in
-        tl.tl_domains <- domains;
-        tl.tl_windows <- 0;
-        tl.tl_doms <- d;
-        d
+    Array.init domains (fun _ -> { d_busy_s = 0.0; d_barrier_s = 0.0 })
   in
+  let windows = ref 0 in
   (* Contiguous shard blocks per domain, first blocks one larger. *)
   let base = s / domains and extra = s mod domains in
   let lo d = (d * base) + min d extra in
@@ -286,40 +279,25 @@ let run ?(domains = 1) ?telemetry t ~handler =
       done
     with e -> record e
   in
-  (* All drains are complete; the last domain picks the next window (and,
-     under telemetry, counts it — it holds the barrier lock here). *)
+  (* All drains are complete; the last domain counts the window and picks
+     the next one (it holds the barrier lock here). *)
   let pick_next () =
-    (match telemetry with
-    | Some tl -> tl.tl_windows <- tl.tl_windows + 1
-    | None -> ());
+    incr windows;
     if !error <> None then finished := true
     else
       let m = min_pending t in
       if m = Float.infinity then finished := true
       else window_end := Float.max (m +. t.lookahead) !window_end
   in
+  (* Busy time is event execution + outbox drains; barrier time is the two
+     crossings. *)
   let worker d () =
-    while not !finished do
-      let w_end = !window_end in
-      exec_window d w_end;
-      (* All outboxes for this window are complete. *)
-      cross barrier (fun () -> ());
-      for i = lo d to hi d - 1 do
-        drain t.shards.(i)
-      done;
-      cross barrier pick_next
-    done
-  in
-  (* Telemetered twin: identical structure plus five clock reads per
-     window. Busy time is event execution + outbox drains; barrier time
-     is the two crossings. The plain worker stays clock-free. *)
-  let worker_timed d () =
     let st = doms.(d) in
     while not !finished do
-      let w_end = !window_end in
       let t0 = Unix.gettimeofday () in
-      exec_window d w_end;
+      exec_window d !window_end;
       let t1 = Unix.gettimeofday () in
+      (* All outboxes for this window are complete. *)
       cross barrier (fun () -> ());
       let t2 = Unix.gettimeofday () in
       for i = lo d to hi d - 1 do
@@ -332,7 +310,6 @@ let run ?(domains = 1) ?telemetry t ~handler =
       st.d_barrier_s <- st.d_barrier_s +. (t2 -. t1) +. (t4 -. t3)
     done
   in
-  let worker = match telemetry with Some _ -> worker_timed | None -> worker in
   if domains = 1 then worker 0 ()
   else begin
     let spawned =
@@ -343,15 +320,17 @@ let run ?(domains = 1) ?telemetry t ~handler =
   end;
   (match telemetry with
   | Some tl ->
+      tl.tl_domains <- domains;
+      tl.tl_windows <- !windows;
       tl.tl_wall_s <- Unix.gettimeofday () -. run0;
+      tl.tl_doms <- doms;
       tl.tl_shard_events <- Array.map (fun sh -> sh.s_executed) t.shards;
-      Array.iteri
-        (fun d st ->
-          let ev = ref 0 in
-          for i = lo d to hi d - 1 do
-            ev := !ev + t.shards.(i).s_executed
-          done;
-          st.d_events <- !ev)
-        doms
+      tl.tl_dom_events <-
+        Array.init domains (fun d ->
+            let ev = ref 0 in
+            for i = lo d to hi d - 1 do
+              ev := !ev + t.shards.(i).s_executed
+            done;
+            !ev)
   | None -> ());
   match !error with Some e -> raise e | None -> ()

@@ -62,9 +62,10 @@ val run :
   ?domains:int -> ?telemetry:telemetry -> 'a t ->
   handler:('a ctx -> 'a -> unit) -> unit
 (** Execute until every queue and outbox is empty. [domains] defaults to
-    1 and is clamped to [1 .. num_shards]. With [telemetry], each domain
-    additionally reads the wall clock five times per window to fill the
-    accumulator; without it the worker loop is clock-free. *)
+    1 and is clamped to [1 .. num_shards]. Each domain reads the wall
+    clock five times per window to time its busy and barrier phases; with
+    [telemetry], those timings are copied into the accumulator at the
+    end. *)
 
 val events_executed : _ t -> int
 (** Total events executed across all shards (stable across domain

@@ -13,7 +13,7 @@ type t = {
   mutable clock : float;
   mutable executed : int;
   mutable advance_hook : (float -> float -> unit) option;
-  mutable prof : Prof.t option;
+  cell : Prof.cell;
 }
 
 let create () =
@@ -22,10 +22,8 @@ let create () =
     clock = 0.0;
     executed = 0;
     advance_hook = None;
-    prof = None;
+    cell = Prof.cell ();
   }
-
-let set_advance_hook t f = t.advance_hook <- Some f
 
 (* Hooks only observe, so composition order is irrelevant; new hooks are
    prepended. Lets the metrics sampler, the profiler's window series and
@@ -40,7 +38,7 @@ let add_advance_hook t f =
             f a b;
             g a b)
 
-let set_prof t p = t.prof <- Some p
+let cell t = t.cell
 let now t = t.clock
 
 let check_future t at =
@@ -61,7 +59,13 @@ let schedule_call t at f x =
 
 let schedule_call_now t f x = Heap.insert t.queue t.clock (Call (f, x))
 
-let run_plain t =
+(* Every transition publishes its layer in the attribution cell, one word
+   store each: queue work (pop, hook, clock) books to [Event_loop], the
+   event body to [Dispatch] until a deeper layer (network dispatch,
+   protocol handler, strategy callback) refines it. *)
+let run t =
+  let cell = t.cell in
+  cell.sub <- Prof.Event_loop;
   while not (Heap.is_empty t.queue) do
     let at = Heap.min_priority_exn t.queue in
     let ev = Heap.pop_exn t.queue in
@@ -70,34 +74,13 @@ let run_plain t =
     | _ -> ());
     t.clock <- at;
     t.executed <- t.executed + 1;
-    match ev with Fn f -> f () | Call (f, x) -> f x
-  done
-
-(* Profiled twin of [run_plain]: same control flow plus one word store per
-   transition so the SIGPROF sampler can attribute its hits. Queue work
-   (pop, hook, clock) books to [Event_loop]; the event body itself books
-   to [Dispatch] until a deeper layer (network dispatch, protocol handler,
-   strategy callback) refines the attribution. Keeping the unprofiled
-   loop untouched means profiling costs nothing when off. *)
-let run_prof t p =
-  Prof.set_sub p Prof.Event_loop;
-  while not (Heap.is_empty t.queue) do
-    let at = Heap.min_priority_exn t.queue in
-    let ev = Heap.pop_exn t.queue in
-    (match t.advance_hook with
-    | Some h when at > t.clock -> h t.clock at
-    | _ -> ());
-    t.clock <- at;
-    t.executed <- t.executed + 1;
-    Prof.set_sub p Prof.Dispatch;
+    cell.sub <- Prof.Dispatch;
     (match ev with Fn f -> f () | Call (f, x) -> f x);
     (* Deeper layers may have refined the attribution; the loop-trailing
        store doubles as the loop-top one for the next iteration. *)
-    Prof.set_sub p Prof.Event_loop
+    cell.sub <- Prof.Event_loop
   done;
-  Prof.set_sub p Prof.Host
-
-let run t = match t.prof with None -> run_plain t | Some p -> run_prof t p
+  cell.sub <- Prof.Host
 
 let events_executed t = t.executed
 let pending t = Heap.size t.queue

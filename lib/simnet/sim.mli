@@ -26,25 +26,21 @@ val schedule_call_now : t -> ('a -> unit) -> 'a -> unit
 val run : t -> unit
 (** Execute events until the queue is empty. *)
 
-val set_advance_hook : t -> (float -> float -> unit) -> unit
-(** [set_advance_hook t h] makes {!run} call [h old_clock new_clock] just
+val add_advance_hook : t -> (float -> float -> unit) -> unit
+(** [add_advance_hook t h] makes {!run} call [h old_clock new_clock] just
     before the clock jumps forward (strictly), i.e. between the events of
     two distinct instants. The hook must only observe state — it must not
     schedule events or mutate the simulation — so that an instrumented run
-    is indistinguishable from a bare one. Used by the metrics sampler.
-    Replaces any hooks already installed. *)
+    is indistinguishable from a bare one. Hooks compose with those already
+    installed; since they only observe, their relative order is
+    unspecified. Lets the metrics sampler, the profiler's window series
+    and the flight recorder's health snapshots share the slot. *)
 
-val add_advance_hook : t -> (float -> float -> unit) -> unit
-(** Like {!set_advance_hook} but composes with hooks already installed
-    instead of replacing them. Since hooks only observe, their relative
-    order is unspecified. Lets the metrics sampler, the profiler's window
-    series and the flight recorder's health snapshots share the slot. *)
-
-val set_prof : t -> Diva_obs.Prof.t -> unit
-(** Route {!run} through its profiled twin: identical control flow plus
-    one subsystem-tag store per queue/dispatch transition, so the
-    statistical sampler can attribute CPU time. The unprofiled loop is a
-    separate function and pays nothing. *)
+val cell : t -> Diva_obs.Prof.cell
+(** This simulation's attribution cell. {!run} writes [Event_loop] and
+    [Dispatch] into it on every event; deeper layers refine it while an
+    event runs; an attached profiler samples it
+    ({!Diva_obs.Prof.watch}). *)
 
 val events_executed : t -> int
 

@@ -148,6 +148,32 @@ let test_prof_send_nests () =
   Alcotest.(check (list string)) "handler resumes as strategy"
     (List.init 4 (fun _ -> "strategy")) (names !after_send)
 
+(* Attach order: a profiler attached after the DSM exists still sees the
+   strategy handlers. Every copy the access tree adds is traced from
+   inside its handler, so some [Copy_add] must observe [Strategy]. *)
+let test_prof_attach_after_dsm () =
+  let module Network = Diva_simnet.Network in
+  let module Dsm = Diva_core.Dsm in
+  let module Matmul = Diva_apps.Matmul in
+  let net = Network.create ~rows:2 ~cols:2 () in
+  let dsm = Dsm.create net ~strategy () in
+  let p = Prof.create () in
+  Network.attach_prof net p;
+  let at_copy_add = ref [] in
+  Network.set_trace net
+    (Trace.stream (function
+      | Trace.Copy_add _ -> at_copy_add := Prof.cur_sub p :: !at_copy_add
+      | _ -> ()));
+  let app = Matmul.setup dsm { Matmul.block = 64; compute = false } in
+  for node = 0 to Network.num_nodes net - 1 do
+    Network.spawn net node (fun () -> Matmul.fiber app node)
+  done;
+  Network.run net;
+  Prof.disarm p;
+  Alcotest.(check bool) "copies were added" true (!at_copy_add <> []);
+  Alcotest.(check bool) "strategy work books to strategy" true
+    (List.mem Prof.Strategy !at_copy_add)
+
 let test_prof_report_rejects_other_schema () =
   (match Prof.report (Json.Obj [ ("schema", Json.String "bogus/9") ]) with
   | Error _ -> ()
@@ -515,6 +541,8 @@ let suite =
       test_prof_subsystems_and_regions;
     Alcotest.test_case "sends nest inside the caller's subsystem" `Quick
       test_prof_send_nests;
+    Alcotest.test_case "profiler attached after the DSM sees strategies"
+      `Quick test_prof_attach_after_dsm;
     Alcotest.test_case "profile report rejects foreign documents" `Quick
       test_prof_report_rejects_other_schema;
     Alcotest.test_case "flight ring rotates past capacity" `Quick
