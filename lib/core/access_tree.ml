@@ -19,6 +19,29 @@ type body =
 type Network.payload +=
   | At of { var_id : int; from : int; tnode : int; body : body }
 
+(* State of a tree node that only locks, capacity eviction and remapping
+   use; most nodes of most runs never need it, so it is a side record
+   allocated on first use ([side]). *)
+type side = {
+  (* Raymond's token-based mutual exclusion, on the same tree. *)
+  mutable tok_toward : int;  (* neighbour toward the token; -1 = token here *)
+  mutable lqueue : int list;  (* FIFO of requesting directions (or self) *)
+  mutable lasked : bool;
+  mutable locked : bool;
+  mutable lock_k : unit -> unit;  (* leaf: pending lock's continuation *)
+  mutable last_use : int;  (* LRU tick; kept only under a capacity bound *)
+  mutable use_count : int;  (* lifetime touches, for frequency eviction *)
+  mutable traffic : int;  (* messages served, for the remapping variant *)
+}
+
+let no_lock_waiter () = assert false
+
+(* The side record of every node that has none yet. Never mutated: [side]
+   replaces it before any write. *)
+let no_side =
+  { tok_toward = -1; lqueue = []; lasked = false; locked = false;
+    lock_k = no_lock_waiter; last_use = 0; use_count = 0; traffic = 0 }
+
 (* Per-(variable, tree-node) protocol state. Created lazily: an untouched
    node holds the shared [vacant] record, and its copy flag and pointers
    are derivable from the variable's initial owner. *)
@@ -31,28 +54,25 @@ type tstate = {
   mutable parked : int list;  (* origins combined onto the in-flight reply *)
   mutable inv_waiting : int;  (* outstanding invalidation acks *)
   mutable inv_pred : int;  (* where to ack once [inv_waiting] drains; -1 = here *)
-  (* Raymond's token-based mutual exclusion, on the same tree. *)
-  mutable tok_toward : int;  (* neighbour toward the token; -1 = token here *)
-  mutable lqueue : int list;  (* FIFO of requesting directions (or self) *)
-  mutable lasked : bool;
-  mutable locked : bool;
-  mutable last_use : int;  (* LRU tick *)
-  mutable use_count : int;  (* lifetime touches, for frequency eviction *)
-  mutable traffic : int;  (* messages served, for the remapping variant *)
   mutable readers : (Value.t -> unit) list;  (* leaf: waiting reads, newest first *)
-  mutable lock_k : unit -> unit;  (* leaf: pending lock's continuation *)
+  mutable side : side;  (* [no_side] until first needed *)
 }
-
-let no_lock_waiter () = assert false
 
 (* The placeholder of every untouched slot. Never mutated: [get_state]
    replaces it before any write. *)
 let vacant =
   { place = -1; has_copy = false; toward = -1; comp_edges = [];
     read_pending = false; parked = []; inv_waiting = 0; inv_pred = -1;
-    tok_toward = -1; lqueue = []; lasked = false; locked = false;
-    last_use = 0; use_count = 0; traffic = 0; readers = [];
-    lock_k = no_lock_waiter }
+    readers = []; side = no_side }
+
+(* The tree nodes of a variable sit in chunks of [chunk] consecutive
+   preorder ids (a subtree is one contiguous id range, so a small subtree
+   spans few chunks), allocated when one of their nodes is first
+   materialised; [no_chunk] stands for a chunk none of whose nodes was
+   ever touched. *)
+let chunk_bits = 3
+let chunk = 1 lsl chunk_bits
+let no_chunk : tstate array = [||]
 
 (* Queued operations remember the causal transaction that issued them:
    they are dequeued from inside some other transaction's handler, and
@@ -77,7 +97,7 @@ type wtxn = {
    other and against in-flight reads; cache hits bypass this entirely. *)
 type ctl = {
   var : Types.var;
-  slab : tstate array;  (* by preorder tree-node id; [vacant] = untouched *)
+  dir : tstate array array;  (* chunks by preorder id; [vacant] = untouched *)
   mutable ncopies : int;
   mutable reading : int;  (* read transactions in flight *)
   mutable writing : bool;
@@ -146,45 +166,85 @@ let get_ctl t (var : Types.var) =
         t.vars <- vars
       end;
       let c =
-        { var; slab = Array.make t.deco.Deco.num_tree_nodes vacant; ncopies = 1;
+        { var;
+          dir =
+            Array.make
+              ((t.deco.Deco.num_tree_nodes + chunk - 1) lsr chunk_bits)
+              no_chunk;
+          ncopies = 1;
           reading = 0; writing = false; pending = Queue.create (); wtxn = None;
           pushes = 0; retired = false }
       in
       t.vars.(id) <- Some c;
       c
 
+(* Read-only: the node's state, [vacant] if it was never materialised. *)
+let peek (ctl : ctl) tnode =
+  let c = ctl.dir.(tnode lsr chunk_bits) in
+  if c == no_chunk then vacant else c.(tnode land (chunk - 1))
+
+(* An untouched node points toward the initial owner's leaf. *)
+let initial_toward t (ctl : ctl) tnode =
+  let owner_leaf = leaf t ctl.var.Types.owner in
+  if tnode = owner_leaf then -1
+  else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
+
 (* [Embedding.place_lazy] recomputes the embedding rule from the tree
    root, so it runs once per touched node, when the node materialises. *)
 let get_state t (ctl : ctl) tnode =
-  let s = ctl.slab.(tnode) in
+  let ci = tnode lsr chunk_bits in
+  let c = ctl.dir.(ci) in
+  let c =
+    if c != no_chunk then c
+    else begin
+      let c = Array.make chunk vacant in
+      ctl.dir.(ci) <- c;
+      c
+    end
+  in
+  let s = c.(tnode land (chunk - 1)) in
   if s != vacant then s
   else begin
-    let owner_leaf = leaf t ctl.var.Types.owner in
-    let is_home = tnode = owner_leaf in
-    let toward =
-      if is_home then -1 else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
-    in
+    let toward = initial_toward t ctl tnode in
     let s =
       { place = Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode;
-        has_copy = is_home; toward; comp_edges = []; read_pending = false;
-        parked = []; inv_waiting = 0; inv_pred = -1; tok_toward = toward;
-        lqueue = []; lasked = false; locked = false; last_use = 0;
-        use_count = 0; traffic = 0; readers = []; lock_k = no_lock_waiter }
+        has_copy = (toward = -1); toward; comp_edges = []; read_pending = false;
+        parked = []; inv_waiting = 0; inv_pred = -1; readers = [];
+        side = no_side }
     in
-    ctl.slab.(tnode) <- s;
+    c.(tnode land (chunk - 1)) <- s;
     s
+  end
+
+(* The node's side record, allocated on first use. The token starts where
+   the copy does, at the initial owner's leaf. *)
+let side t ctl tnode st =
+  if st.side != no_side then st.side
+  else begin
+    let sd =
+      { tok_toward = initial_toward t ctl tnode; lqueue = []; lasked = false;
+        locked = false; lock_k = no_lock_waiter; last_use = 0; use_count = 0;
+        traffic = 0 }
+    in
+    st.side <- sd;
+    sd
   end
 
 (* Read-only: an untouched node sits at its default placement. *)
 let place t (var : Types.var) tnode =
   match find_ctl t var.Types.id with
-  | Some ctl when ctl.slab.(tnode) != vacant -> ctl.slab.(tnode).place
+  | Some ctl when peek ctl tnode != vacant -> (peek ctl tnode).place
   | _ -> Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode
 
-let touch t st =
-  t.lru_tick <- t.lru_tick + 1;
-  st.last_use <- t.lru_tick;
-  st.use_count <- st.use_count + 1
+(* Only eviction reads the LRU tick and touch count, so without a capacity
+   bound a touch records nothing. *)
+let touch t ctl tnode st =
+  if t.capacity <> None then begin
+    let sd = side t ctl tnode st in
+    t.lru_tick <- t.lru_tick + 1;
+    sd.last_use <- t.lru_tick;
+    sd.use_count <- sd.use_count + 1
+  end
 
 let trace_copy_add t (ctl : ctl) tnode st =
   let tr = Network.trace t.net in
@@ -238,8 +298,8 @@ let evictable _t (ctl : ctl) st =
    frequency eviction stays deterministic). *)
 let score t st =
   match t.eviction with
-  | Strategy.Lru -> (st.last_use, 0)
-  | Strategy.Freq -> (st.use_count, st.last_use)
+  | Strategy.Lru -> (st.side.last_use, 0)
+  | Strategy.Freq -> (st.side.use_count, st.side.last_use)
 
 let evict t proc =
   let nt = t.deco.Deco.num_tree_nodes in
@@ -248,7 +308,7 @@ let evict t proc =
     (fun k () ->
       match find_ctl t (k / nt) with
       | Some ctl ->
-          let st = ctl.slab.(k mod nt) in
+          let st = peek ctl (k mod nt) in
           if st.has_copy && evictable t ctl st then begin
             match !best with
             | Some (_, _, _, sc) when sc <= score t st -> ()
@@ -294,7 +354,7 @@ let add_copy t ctl tnode st =
     st.has_copy <- true;
     st.toward <- -1;
     ctl.ncopies <- ctl.ncopies + 1;
-    touch t st;
+    touch t ctl tnode st;
     trace_copy_add t ctl tnode st;
     account_copy t ctl tnode st
   end
@@ -346,7 +406,7 @@ and start_read t ctl p k =
   let st = get_state t ctl origin in
   st.readers <- k :: st.readers;
   if st.has_copy then begin
-    touch t st;
+    touch t ctl origin st;
     complete_reads ctl st;
     process_queue t ctl
   end
@@ -365,7 +425,7 @@ and start_write t ctl p value k =
   ctl.wtxn <- Some { w_origin = origin; w_value = value; w_done = k; w_u = origin };
   let st = get_state t ctl origin in
   if st.has_copy then begin
-    touch t st;
+    touch t ctl origin st;
     begin_invalidation t ctl origin
   end
   else send_data t ctl ~from:origin ~tnode:st.toward (Wreq { origin })
@@ -411,7 +471,7 @@ and complete_write t ctl =
 let on_rreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
   if st.has_copy then begin
-    touch t st;
+    touch t ctl tnode st;
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
     add_edge st nxt;
     send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = [ origin ] })
@@ -445,7 +505,7 @@ let prefetch_children t ctl tnode st =
 let rec on_rrep ?(push = true) t ctl ~from ~tnode ~origins =
   let st = get_state t ctl tnode in
   add_copy t ctl tnode st;
-  touch t st;
+  touch t ctl tnode st;
   add_edge st from;
   st.read_pending <- false;
   let targets =
@@ -497,19 +557,19 @@ and on_rpush t ctl ~from ~tnode =
 
 and finish_retire t ctl =
   if t.capacity <> None then
-    Array.iteri
-      (fun tnode st ->
-        if st.has_copy then begin
-          t.mem_used.(st.place) <- t.mem_used.(st.place) - ctl.var.Types.data_size;
-          Hashtbl.remove t.held.(st.place) (key t ctl.var.Types.id tnode)
-        end)
-      ctl.slab;
+    for tnode = 0 to t.deco.Deco.num_tree_nodes - 1 do
+      let st = peek ctl tnode in
+      if st.has_copy then begin
+        t.mem_used.(st.place) <- t.mem_used.(st.place) - ctl.var.Types.data_size;
+        Hashtbl.remove t.held.(st.place) (key t ctl.var.Types.id tnode)
+      end
+    done;
   t.vars.(ctl.var.Types.id) <- None
 
 let on_wreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
   if st.has_copy then begin
-    touch t st;
+    touch t ctl tnode st;
     begin_invalidation t ctl tnode
   end
   else send_data t ctl ~from:tnode ~tnode:st.toward (Wreq { origin })
@@ -549,7 +609,7 @@ let on_wack t ctl ~tnode =
 let on_wdata t ctl ~from ~tnode ~origin =
   let st = get_state t ctl tnode in
   add_copy t ctl tnode st;
-  touch t st;
+  touch t ctl tnode st;
   st.comp_edges <- [ from ];
   if tnode = origin then complete_write t ctl
   else begin
@@ -562,62 +622,64 @@ let on_wdata t ctl ~from ~tnode ~origin =
 (* Raymond's mutual exclusion on the access tree                        *)
 (* ------------------------------------------------------------------ *)
 
+let lock_state t ctl tnode = side t ctl tnode (get_state t ctl tnode)
+
 let rec assign_privilege t ctl tnode =
-  let st = get_state t ctl tnode in
-  if st.tok_toward = -1 && (not st.locked) && st.lqueue <> [] then begin
+  let sd = lock_state t ctl tnode in
+  if sd.tok_toward = -1 && (not sd.locked) && sd.lqueue <> [] then begin
     let next, rest =
-      match st.lqueue with n :: r -> (n, r) | [] -> assert false
+      match sd.lqueue with n :: r -> (n, r) | [] -> assert false
     in
-    st.lqueue <- rest;
-    st.lasked <- false;
+    sd.lqueue <- rest;
+    sd.lasked <- false;
     if next = tnode then begin
-      st.locked <- true;
-      let k = st.lock_k in
-      st.lock_k <- no_lock_waiter;
+      sd.locked <- true;
+      let k = sd.lock_k in
+      sd.lock_k <- no_lock_waiter;
       k ()
     end
     else begin
-      st.tok_toward <- next;
+      sd.tok_toward <- next;
       send_ctl t ctl ~from:tnode ~tnode:next Ltok;
       make_request t ctl tnode
     end
   end
 
 and make_request t ctl tnode =
-  let st = get_state t ctl tnode in
-  if st.tok_toward <> -1 && st.lqueue <> [] && not st.lasked then begin
-    st.lasked <- true;
-    send_ctl t ctl ~from:tnode ~tnode:st.tok_toward Lreq
+  let sd = lock_state t ctl tnode in
+  if sd.tok_toward <> -1 && sd.lqueue <> [] && not sd.lasked then begin
+    sd.lasked <- true;
+    send_ctl t ctl ~from:tnode ~tnode:sd.tok_toward Lreq
   end
 
 let on_lreq t ctl ~from ~tnode =
-  let st = get_state t ctl tnode in
-  st.lqueue <- st.lqueue @ [ from ];
+  let sd = lock_state t ctl tnode in
+  sd.lqueue <- sd.lqueue @ [ from ];
   assign_privilege t ctl tnode;
   make_request t ctl tnode
 
 let on_ltok t ctl ~tnode =
-  let st = get_state t ctl tnode in
-  st.tok_toward <- -1;
+  let sd = lock_state t ctl tnode in
+  sd.tok_toward <- -1;
   assign_privilege t ctl tnode;
   make_request t ctl tnode
 
 let lock t p var ~k =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let st = get_state t ctl tnode in
-  st.lock_k <- k;
-  st.lqueue <- st.lqueue @ [ tnode ];
+  let sd = lock_state t ctl tnode in
+  sd.lock_k <- k;
+  sd.lqueue <- sd.lqueue @ [ tnode ];
   assign_privilege t ctl tnode;
   make_request t ctl tnode
 
 let unlock t p var =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let st = get_state t ctl tnode in
-  if not st.locked then
+  let sd = lock_state t ctl tnode in
+  if not sd.locked then
     invalid_arg "Access_tree.unlock: processor does not hold the lock";
-  st.locked <- false;
+  sd.locked <- false;
   assign_privilege t ctl tnode;
   make_request t ctl tnode
 
@@ -627,8 +689,9 @@ let unlock t p var =
 
 let cached t p var =
   let ctl = get_ctl t var in
-  let st = get_state t ctl (leaf t p) in
-  if st.has_copy then touch t st;
+  let tnode = leaf t p in
+  let st = get_state t ctl tnode in
+  if st.has_copy then touch t ctl tnode st;
   st.has_copy
 
 let sole_copy t p var =
@@ -661,9 +724,10 @@ let maybe_remap t (ctl : ctl) tnode =
   | None -> ()
   | Some threshold ->
       let st = get_state t ctl tnode in
-      st.traffic <- st.traffic + 1;
-      if st.traffic >= threshold && not (Deco.is_leaf t.deco tnode) then begin
-        st.traffic <- 0;
+      let sd = side t ctl tnode st in
+      sd.traffic <- sd.traffic + 1;
+      if sd.traffic >= threshold && not (Deco.is_leaf t.deco tnode) then begin
+        sd.traffic <- 0;
         let sm = t.deco.Deco.submesh.(tnode) in
         let mesh = t.deco.Deco.mesh in
         let coords =
@@ -735,8 +799,8 @@ let copy_holders t (var : Types.var) =
   | None -> [ owner_leaf ]
   | Some ctl ->
       let acc = ref [] in
-      for tnode = Array.length ctl.slab - 1 downto 0 do
-        let st = ctl.slab.(tnode) in
+      for tnode = t.deco.Deco.num_tree_nodes - 1 downto 0 do
+        let st = peek ctl tnode in
         if (st == vacant && tnode = owner_leaf) || st.has_copy then
           acc := tnode :: !acc
       done;
@@ -791,7 +855,7 @@ let validate t (var : Types.var) =
           cur >= 0 && steps <= nt
           && (holder.(cur)
              ||
-             let st = ctl.slab.(cur) in
+             let st = peek ctl cur in
              reaches
                (if st == vacant then
                   Deco.next_hop t.deco ~from:cur ~target:owner_leaf
@@ -801,7 +865,7 @@ let validate t (var : Types.var) =
         let rec lost tnode =
           if tnode >= nt then None
           else
-            let st = ctl.slab.(tnode) in
+            let st = peek ctl tnode in
             if st != vacant && (not st.has_copy) && not (reaches tnode 0) then
               Some tnode
             else lost (tnode + 1)

@@ -29,7 +29,21 @@
     in-flight read transactions of that variable; read cache-hits are not
     serialized. Optionally, per-processor memory is bounded and copies are
     evicted in LRU fashion (only copies whose removal keeps the component
-    connected are eligible). *)
+    connected are eligible).
+
+    Protocol state is kept per (variable, tree node) and only for the tree
+    nodes a variable's transactions have touched. A variable's nodes are
+    grouped in chunks of 8 consecutive preorder ids, and a chunk is
+    allocated the first time one of its nodes is materialised; the rest of
+    the directory points at one shared empty chunk. A materialised node is
+    an 11-word record: placement, copy flag, tracking pointer, component
+    edges, read combining, invalidation and waiting readers. Lock state
+    (Raymond's token pointer, request queue and flags, the pending lock's
+    continuation), eviction state (LRU tick, touch count) and remapping
+    state (traffic count) live in a side record, allocated the first time
+    a lock, a touch under a capacity bound or a remapping count needs it.
+    Without a capacity bound a touch records nothing, since only eviction
+    reads the tick. *)
 
 type t
 

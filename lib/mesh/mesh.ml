@@ -43,6 +43,7 @@ let num_nodes t = t.nodes
 let num_links t = 2 * Array.length t.t_dims * t.nodes
 
 let coord t v k = v / t.strides.(k) mod t.t_dims.(k)
+let stride t k = t.strides.(k)
 
 let coords t v =
   check_2d t "coords";

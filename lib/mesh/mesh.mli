@@ -50,6 +50,14 @@ val coords_nd : t -> node -> int array
 val node_at : t -> row:int -> col:int -> node
 val node_at_nd : t -> int array -> node
 
+val coord : t -> node -> int -> int
+(** [coord t v k] is the node's coordinate in dimension [k]. Unlike
+    {!coords_nd} it allocates nothing. *)
+
+val stride : t -> int -> int
+(** [stride t k] is the node-id step between neighbours along dimension
+    [k]: a node's id is the sum over [k] of [coord t v k * stride t k]. *)
+
 val link_endpoints : t -> link -> node * node
 (** Source and destination node of a directed link. *)
 

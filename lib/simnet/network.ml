@@ -37,12 +37,11 @@ type mailbox = {
 }
 
 (* Reliable-delivery envelope, used only while a fault schedule is
-   installed. Payloads are wrapped in [Env] and acknowledged with [Ack];
+   installed. Every remote transmission carries a sequence number (its
+   delivery slot's [dv_env]) and is acknowledged by the receiver;
    unacknowledged envelopes retransmit on an exponential-backoff timer.
    At-least-once transmission plus the receiver-side seen-set gives
-   exactly-once handling. Both constructors are private to this module. *)
-type payload += Env of { seq : int; inner : payload } | Ack of { seq : int }
-
+   exactly-once handling. *)
 type pend = {
   p_id : int;  (* causal message id; retransmissions keep it *)
   p_txn : int;
@@ -74,6 +73,30 @@ type walk_scratch = {
   mutable wk_outcome : float;  (* delivery time, or when the message was lost *)
 }
 
+(* Messages in flight: delivery slot [i] holds one transmission from its
+   send (or retransmission, or ack) until its delivery event runs or the
+   transmission is lost. Each slot owns one prebuilt [Sim] event that runs
+   it, so a pending delivery allocates nothing; the [msg] a handler sees
+   is built at dispatch, after the slot is released. Slots live in pages
+   of [page_size], each a struct of arrays; a page is added when no slot
+   is free and is never moved or copied, so growing leaves no garbage.
+   Free slots are chained through [dv_next]. *)
+type dpage = {
+  dv_src : int array;
+  dv_dst : int array;
+  dv_size : int array;
+  dv_tag : int array;
+  dv_id : int array;  (* causal message id; -1 for acks *)
+  dv_txn : int array;
+  dv_env : int array;  (* -1 bare; seq >= 0 envelope; -2 - seq its ack *)
+  dv_payload : payload array;
+  dv_event : Sim.event array;
+  dv_next : int array;  (* free-list link *)
+}
+
+let page_bits = 8
+let page_size = 1 lsl page_bits
+
 type t = {
   sim : Sim.t;
   mesh : Mesh.t;
@@ -81,6 +104,8 @@ type t = {
   root_rng : Prng.t;
   route_buf : int array;  (* scratch for [Mesh.route_into] on send paths *)
   walk : walk_scratch;
+  mutable dv_pages : dpage array;
+  mutable dv_free : int;  (* first free delivery slot; -1 = none *)
   link_free : float array;
   stats : Link_stats.t;
   cpu_free : float array;
@@ -155,6 +180,8 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
     walk =
       { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0;
         wk_outcome = 0.0 };
+    dv_pages = [||];
+    dv_free = -1;
     link_free = Array.make nl 0.0;
     stats = Link_stats.create ~num_links:nl;
     cpu_free = Array.make n 0.0;
@@ -316,8 +343,9 @@ let attach_flight t ?(interval = 5000.0) fl =
         })
 
 (* Reserve the node's CPU for [dt] starting no earlier than [from]; returns
-   the completion time. Pending charged computation is folded in first. *)
-let reserve_cpu t node ~from dt =
+   the completion time. Pending charged computation is folded in first.
+   Inlined so that the send path's floats stay unboxed. *)
+let[@inline] reserve_cpu t node ~from dt =
   let pending = t.pending_compute.(node) in
   t.pending_compute.(node) <- 0.0;
   let start = Float.max from t.cpu_free.(node) in
@@ -330,86 +358,129 @@ let reserve_cpu t node ~from dt =
   t.cpu_free.(node) <- fin;
   fin
 
-(* Packed argument for the delivery event. The hottest schedule site in the
-   simulator is "run this message's handler at time T with causal context
-   (id, txn)": scheduling it as [Sim.schedule_call run_dispatch dctx]
-   allocates one 4-word record instead of the two closure environments the
-   old [fun () -> with_ctx ... (fun () -> dispatch ...)] chain cost. *)
-type dctx = { dx_net : t; dx_msg : msg; dx_id : int; dx_txn : int }
+(* Delivery slot [i] is entry [slot i] of page [page t i]. *)
+let[@inline] page t i = t.dv_pages.(i lsr page_bits)
+let[@inline] slot i = i land (page_size - 1)
 
-(* Schedules the handler and returns the time it runs, so the caller can
-   record it in the delivery event. The handler runs after the receive
+(* Schedules slot [i]'s event and returns the time it runs, so the caller
+   can record it in the delivery event. The handler runs after the receive
    overhead on the destination CPU; an ack is a hardware-level control
    message, which the envelope layer consumes at arrival time. *)
-let rec deliver t msg ~id ~txn ~is_ack at =
+let[@inline] deliver t i ~is_ack at =
+  let p = page t i and k = slot i in
   let handle_at =
     if is_ack then at
-    else reserve_cpu t msg.m_dst ~from:at t.machine.Machine.recv_overhead
+    else reserve_cpu t p.dv_dst.(k) ~from:at t.machine.Machine.recv_overhead
   in
-  Sim.schedule_call t.sim handle_at run_dispatch
-    { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn };
+  Sim.schedule_event t.sim handle_at p.dv_event.(k);
   handle_at
 
-(* Static dispatch trampoline: set the causal context, run the envelope
-   layer / handler, reset. Equivalent to [with_ctx t (dispatch t msg)] but
-   shared by every delivery event instead of rebuilt per message. *)
-and run_dispatch dc =
-  let t = dc.dx_net in
-  t.cur_msg <- dc.dx_id;
-  t.cur_txn <- dc.dx_txn;
+(* Take a free delivery slot and fill it. The slot is released when its
+   delivery event runs, or by [lose]. *)
+let rec acquire t ~src ~dst ~size ~tag ~id ~txn ~env payload =
+  if t.dv_free < 0 then add_page t;
+  let i = t.dv_free in
+  let p = page t i and k = slot i in
+  t.dv_free <- p.dv_next.(k);
+  p.dv_src.(k) <- src;
+  p.dv_dst.(k) <- dst;
+  p.dv_size.(k) <- size;
+  p.dv_tag.(k) <- tag;
+  p.dv_id.(k) <- id;
+  p.dv_txn.(k) <- txn;
+  p.dv_env.(k) <- env;
+  p.dv_payload.(k) <- payload;
+  i
+
+and add_page t =
+  let base = Array.length t.dv_pages * page_size in
+  let ints () = Array.make page_size 0 in
+  let run = run_slot t in
+  let p =
+    { dv_src = ints (); dv_dst = ints (); dv_size = ints (); dv_tag = ints ();
+      dv_id = ints (); dv_txn = ints (); dv_env = ints ();
+      dv_payload = Array.make page_size Empty;
+      dv_event = Array.init page_size (fun k -> Sim.event run (base + k));
+      dv_next =
+        Array.init page_size (fun k ->
+            if k = page_size - 1 then t.dv_free else base + k + 1) }
+  in
+  t.dv_pages <- Array.append t.dv_pages [| p |];
+  t.dv_free <- base
+
+(* Return a slot to the free list, dropping its payload reference. *)
+and release t i =
+  let p = page t i and k = slot i in
+  p.dv_payload.(k) <- Empty;
+  p.dv_next.(k) <- t.dv_free;
+  t.dv_free <- i
+
+(* The delivery event of slot [i]: set the causal context, release the
+   slot, run the envelope layer / handler, reset. Without installed
+   faults every slot is bare ([dv_env = -1]) and this is the handler
+   call; envelopes and acks exist only under faults. *)
+and run_slot t i =
+  let p = page t i and k = slot i in
+  let env = p.dv_env.(k) in
+  t.cur_msg <- p.dv_id.(k);
+  t.cur_txn <- p.dv_txn.(k);
   t.cell.sub <- Prof.Protocol;
-  dispatch t dc.dx_msg;
+  (if env < -1 then begin
+     release t i;
+     let rel = Option.get t.rel and seq = -2 - env in
+     if Hashtbl.mem rel.rl_pending seq then begin
+       Hashtbl.remove rel.rl_pending seq;
+       Faults.count_ack rel.rl_faults
+     end
+   end
+   else begin
+     let msg =
+       { m_src = p.dv_src.(k); m_dst = p.dv_dst.(k); m_size = p.dv_size.(k);
+         m_tag = p.dv_tag.(k); m_payload = p.dv_payload.(k) }
+     in
+     release t i;
+     if env = -1 then t.handlers.(msg.m_dst) t msg
+     else begin
+       (* Always (re-)acknowledge — the previous ack may have been lost —
+          but hand only the first copy to the handler. Acks have no
+          [Msg_send] of their own, so they carry id [-1] (the sentinel
+          analyzers filter on) and inherit the envelope's transaction. *)
+       let rel = Option.get t.rel in
+       transmit t rel ~level:(-1)
+         (acquire t ~src:msg.m_dst ~dst:msg.m_src ~size:Faults.ack_size
+            ~tag:(-1) ~id:(-1) ~txn:t.cur_txn ~env:(-2 - env) Empty);
+       if not (Hashtbl.mem rel.rl_seen env) then begin
+         Hashtbl.add rel.rl_seen env ();
+         t.handlers.(msg.m_dst) t msg
+       end
+     end
+   end);
   t.cur_msg <- -1;
   t.cur_txn <- -1
 
-(* Envelope layer between physical delivery and the node handler. Without
-   installed faults this is exactly the legacy handler call. *)
-and dispatch t msg =
-  match t.rel with
-  | None -> t.handlers.(msg.m_dst) t msg
-  | Some rel -> (
-      match msg.m_payload with
-      | Ack { seq } ->
-          if Hashtbl.mem rel.rl_pending seq then begin
-            Hashtbl.remove rel.rl_pending seq;
-            Faults.count_ack rel.rl_faults
-          end
-      | Env { seq; inner } ->
-          (* Always (re-)acknowledge — the previous ack may have been lost —
-             but hand only the first copy to the handler. Acks have no
-             [Msg_send] of their own, so they carry id [-1] (the sentinel
-             analyzers filter on) and inherit the envelope's transaction. *)
-          transmit t rel ~id:(-1) ~txn:t.cur_txn ~level:(-1)
-            { m_src = msg.m_dst; m_dst = msg.m_src;
-              m_size = Faults.ack_size; m_tag = -1; m_payload = Ack { seq } };
-          if not (Hashtbl.mem rel.rl_seen seq) then begin
-            Hashtbl.add rel.rl_seen seq ();
-            t.handlers.(msg.m_dst) t { msg with m_payload = inner }
-          end
-      | _ -> t.handlers.(msg.m_dst) t msg)
-
-(* One physical transmission attempt under an installed fault schedule:
-   seeded probabilistic loss at injection, then the shared wormhole
-   {!walk} with its fault hooks armed. Leaves the attempt's outcome time —
-   delivery or loss — in [t.walk.wk_outcome], so retry timers can be armed
-   from when the attempt actually resolved rather than when it was
-   injected (a message queued behind congested links must not be
-   retransmitted while still in flight: that feedback loop melts the
+(* One physical transmission attempt of slot [i] under an installed fault
+   schedule: seeded probabilistic loss at injection, then the shared
+   wormhole {!walk} with its fault hooks armed. Leaves the attempt's
+   outcome time — delivery or loss — in [t.walk.wk_outcome], so retry
+   timers can be armed from when the attempt actually resolved rather than
+   when it was injected (a message queued behind congested links must not
+   be retransmitted while still in flight: that feedback loop melts the
    network).
 
    [?inject] lets the caller reserve the sender's CPU (and account the
    startup) itself before calling, so it can emit the [Msg_send] event
    ahead of the attempt's link crossings. *)
-and transmit ?inject t rel ~id ~txn ~level msg =
+and transmit ?inject t rel ~level i =
   let f = rel.rl_faults in
-  let src = msg.m_src in
+  let p = page t i and k = slot i in
+  let src = p.dv_src.(k) in
   (* Acks are modelled as hardware-level control messages: they occupy
      links like any flit but cost no CPU overhead on either side and do
      not count as startups. Charging the full 500 us send/recv overhead
      per ack doubles the CPU load of every hot protocol node, which
      inflates latencies past the retry timeout and feeds a spurious
      retransmission spiral. *)
-  let is_ack = match msg.m_payload with Ack _ -> true | _ -> false in
+  let is_ack = p.dv_env.(k) < -1 in
   let inject_at =
     match inject with
     | Some at -> at
@@ -422,10 +493,13 @@ and transmit ?inject t rel ~id ~txn ~level msg =
         end
   in
   if Faults.draw_drop f ~now:inject_at then begin
-    lose t f ~id ~txn msg Trace.Loss_random inject_at;
+    lose t f i Trace.Loss_random inject_at;
     t.walk.wk_outcome <- inject_at
   end
-  else walk t ~id ~txn ~level ~is_ack msg inject_at
+  else begin
+    t.walk.wk_arrival <- inject_at;
+    walk t ~level ~is_ack i
+  end
 
 (* Eager wormhole approximation, shared by every remote transmission: the
    header advances hop by hop, each link is occupied for the full transfer
@@ -433,15 +507,19 @@ and transmit ?inject t rel ~id ~txn ~level msg =
    it. The route is walked out of a preallocated buffer with unboxed float
    accumulators, so the fault-free walk allocates nothing. The fault hooks
    — outage loss, per-link slowdown, crash-window loss — run only while a
-   schedule is installed. Leaves the outcome time (delivery, or the loss)
-   in [t.walk.wk_outcome]. *)
-and walk t ~id ~txn ~level ~is_ack msg inject_at =
-  let src = msg.m_src and dst = msg.m_dst and size = msg.m_size in
-  let transfer = Machine.transfer_time t.machine size in
+   schedule is installed. The caller leaves the injection time in
+   [t.walk.wk_arrival] (floats passed through the scratch record stay
+   unboxed); the walk leaves the outcome time (delivery, or the loss) in
+   [t.walk.wk_outcome]. *)
+and walk t ~level ~is_ack i =
+  let p = page t i and k = slot i in
+  let src = p.dv_src.(k) and dst = p.dv_dst.(k) and size = p.dv_size.(k) in
+  let id = p.dv_id.(k) and txn = p.dv_txn.(k) in
+  (* [Machine.transfer_time], computed here so it stays unboxed. *)
+  let transfer = float_of_int size /. t.machine.Machine.link_bandwidth in
   let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
   let wk = t.walk in
-  wk.wk_arrival <- inject_at;
-  wk.wk_last_start <- inject_at;
+  wk.wk_last_start <- wk.wk_arrival;
   wk.wk_last_occupancy <- 0.0;
   let lost = ref false and h = ref 0 in
   while (not !lost) && !h < hops do
@@ -451,7 +529,7 @@ and walk t ~id ~txn ~level ~is_ack msg inject_at =
     match t.rel with
     | Some rel when Faults.link_down rel.rl_faults ~link ~now:start ->
         lost := true;
-        lose t rel.rl_faults ~id ~txn msg Trace.Loss_link_down start;
+        lose t rel.rl_faults i Trace.Loss_link_down start;
         wk.wk_outcome <- start
     | rel ->
         let occupancy =
@@ -475,24 +553,26 @@ and walk t ~id ~txn ~level ~is_ack msg inject_at =
     wk.wk_outcome <- delivered_at;
     match t.rel with
     | Some rel when Faults.crashed rel.rl_faults ~node:dst ~now:delivered_at ->
-        lose t rel.rl_faults ~id ~txn msg Trace.Loss_crashed delivered_at
+        lose t rel.rl_faults i Trace.Loss_crashed delivered_at
     | _ ->
-        let handled = deliver t msg ~id ~txn ~is_ack delivered_at in
+        let handled = deliver t i ~is_ack delivered_at in
         if Trace.enabled t.trace then
           Trace.emit t.trace
             (Trace.Msg_deliver
                { ts = delivered_at; id; txn; handled; src; dst; size })
   end
 
-(* A transmission lost to an injected fault: counted and traced, never
-   delivered. *)
-and lose t f ~id ~txn msg reason ts =
+(* A transmission lost to an injected fault: counted, traced and its slot
+   released, never delivered. *)
+and lose t f i reason ts =
   Faults.count_lost f reason;
+  let p = page t i and k = slot i in
   if Trace.enabled t.trace then
     Trace.emit t.trace
       (Trace.Msg_lost
-         { ts; msg = id; txn; src = msg.m_src; dst = msg.m_dst;
-           size = msg.m_size; reason })
+         { ts; msg = p.dv_id.(k); txn = p.dv_txn.(k); src = p.dv_src.(k);
+           dst = p.dv_dst.(k); size = p.dv_size.(k); reason });
+  release t i
 
 (* Retransmission timer, armed from the attempt's outcome time [from]
    (delivery or loss) with exponential backoff capped at rto * 2^6. The
@@ -514,32 +594,27 @@ and retransmit t rel seq p =
       (Trace.Msg_retry
          { ts = now t; msg = p.p_id; txn = p.p_txn; src = p.p_src;
            dst = p.p_dst; size = p.p_size; attempt = p.p_attempt });
-  transmit t rel ~id:p.p_id ~txn:p.p_txn ~level:p.p_level
-    { m_src = p.p_src; m_dst = p.p_dst; m_size = p.p_size; m_tag = p.p_tag;
-      m_payload = Env { seq; inner = p.p_inner } };
+  transmit t rel ~level:p.p_level
+    (acquire t ~src:p.p_src ~dst:p.p_dst ~size:p.p_size ~tag:p.p_tag
+       ~id:p.p_id ~txn:p.p_txn ~env:seq p.p_inner);
   arm_timeout t rel seq p ~from:t.walk.wk_outcome
 
 let post t ~tag ~src ~dst ~size payload =
-  let msg =
-    { m_src = src; m_dst = dst; m_size = size; m_tag = tag; m_payload = payload }
-  in
   let id = fresh_msg_id t in
   let txn = t.cur_txn and parent = t.cur_msg and level = t.next_level in
   t.next_level <- -1;
   let t0 = now t in
   if src = dst then begin
-    (* Node-local protocol hop: no startup, no network traffic. *)
+    (* Node-local protocol hop: no startup, no network traffic, no
+       envelope. *)
     let at = reserve_cpu t src ~from:t0 t.machine.Machine.local_overhead in
     if Trace.enabled t.trace then
       Trace.emit t.trace
         (Trace.Msg_send
            { ts = t0; id; parent; txn; inject = at; level; src; dst; size;
              local = true });
-    (* [run_dispatch] rather than a direct handler call: application
-       payloads never match the (private) envelope constructors, so the
-       envelope layer is a no-op for local messages. *)
-    Sim.schedule_call t.sim at run_dispatch
-      { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn }
+    let i = acquire t ~src ~dst ~size ~tag ~id ~txn ~env:(-1) payload in
+    Sim.schedule_event t.sim at (page t i).dv_event.(slot i)
   end
   else begin
     t.startup_count <- t.startup_count + 1;
@@ -554,7 +629,10 @@ let post t ~tag ~src ~dst ~size payload =
            { ts = t0; id; parent; txn; inject = inject_at; level; src; dst;
              size; local = false });
     match t.rel with
-    | None -> walk t ~id ~txn ~level ~is_ack:false msg inject_at
+    | None ->
+        t.walk.wk_arrival <- inject_at;
+        walk t ~level ~is_ack:false
+          (acquire t ~src ~dst ~size ~tag ~id ~txn ~env:(-1) payload)
     | Some rel ->
         let seq = rel.rl_next_seq in
         rel.rl_next_seq <- seq + 1;
@@ -563,8 +641,8 @@ let post t ~tag ~src ~dst ~size payload =
                   p_dst = dst; p_size = size; p_tag = tag; p_inner = payload;
                   p_attempt = 0; p_last_tx = t0 } in
         Hashtbl.add rel.rl_pending seq p;
-        transmit ~inject:inject_at t rel ~id ~txn ~level
-          { msg with m_payload = Env { seq; inner = payload } };
+        transmit ~inject:inject_at t rel ~level
+          (acquire t ~src ~dst ~size ~tag ~id ~txn ~env:seq payload);
         arm_timeout t rel seq p ~from:t.walk.wk_outcome
   end
 

@@ -26,6 +26,10 @@ type msg = {
   m_tag : int;  (** selective-receive key set by [send ~tag]; [-1] = untagged *)
   m_payload : payload;
 }
+(** A delivered message. It is built when its delivery is dispatched, as
+    a fresh immutable record, and nothing in the network refers to it
+    afterwards: handlers and mailboxes may keep it for as long as they
+    like. *)
 
 type t
 
@@ -61,7 +65,17 @@ val send :
     selective receive — see {!recv}. Tags survive the reliable-delivery
     envelope under fault injection. The send's own work counts as
     [Prof.Protocol] in the attribution cell ({!Sim.cell}), and the
-    caller's subsystem is restored on return. *)
+    caller's subsystem is restored on return.
+
+    Until its delivery, a message lives in a {e delivery slot}: one entry
+    of the network's recycled pool (source, destination, size, tag, causal
+    id and transaction, payload, kept as a struct of arrays in pages of
+    256 slots that are added as needed and never moved), with one prebuilt
+    {!Sim.event} per slot. A pending delivery therefore allocates nothing
+    of its own. The slot is taken at the send (and at every
+    retransmission and ack under faults), released when its event runs —
+    just before the {!msg} is built and handed on — or when the
+    transmission is lost. *)
 
 val set_handler : t -> Diva_mesh.Mesh.node -> (t -> msg -> unit) -> unit
 (** Replace the node's message handler. The default handler enqueues into

@@ -2,10 +2,10 @@ module Heap = Diva_util.Event_queue
 module Prof = Diva_obs.Prof
 
 (* An event is either a plain thunk or a packed (function, argument) pair.
-   The packed form lets hot schedule sites (message delivery in [Network])
-   pass one statically-allocated function plus a small argument record
-   instead of building a fresh closure chain per event: the closure's
-   environment becomes an explicit record the caller can size exactly. *)
+   The packed form lets hot schedule sites pass one shared function plus an
+   argument instead of building a fresh closure per event; a caller that
+   builds the pair once ({!event}) can schedule it again and again without
+   allocating (message delivery slots in [Network] do). *)
 type event = Fn of (unit -> unit) | Call : ('a -> unit) * 'a -> event
 
 type t = {
@@ -53,11 +53,12 @@ let schedule t at f =
 
 let schedule_now t f = Heap.insert t.queue t.clock (Fn f)
 
-let schedule_call t at f x =
-  check_future t at;
-  Heap.insert t.queue (Float.max at t.clock) (Call (f, x))
+let event f x = Call (f, x)
 
-let schedule_call_now t f x = Heap.insert t.queue t.clock (Call (f, x))
+(* Passes [at] (or the clock) on as it came, so no float is boxed here. *)
+let schedule_event t at ev =
+  check_future t at;
+  Heap.insert t.queue (if at < t.clock then t.clock else at) ev
 
 (* Every transition publishes its layer in the attribution cell, one word
    store each: queue work (pop, hook, clock) books to [Event_loop], the

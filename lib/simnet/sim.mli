@@ -15,13 +15,21 @@ val schedule : t -> float -> (unit -> unit) -> unit
 
 val schedule_now : t -> (unit -> unit) -> unit
 
-val schedule_call : t -> float -> ('a -> unit) -> 'a -> unit
-(** [schedule_call t at f x] runs [f x] at simulated time [at]. Equivalent
-    to [schedule t at (fun () -> f x)] but avoids allocating a closure when
-    [f] is a statically-known function: hot schedule sites pass one shared
-    function plus a packed argument instead of a fresh environment. *)
+type event
+(** A prebuilt event: scheduling it builds no closure and no record. *)
 
-val schedule_call_now : t -> ('a -> unit) -> 'a -> unit
+val event : ('a -> unit) -> 'a -> event
+(** [event f x] is an event that runs [f x]. It may be scheduled any number
+    of times, each scheduling running [f x] once; its owner decides when
+    scheduling it again is safe. [Network] builds one per message delivery
+    slot and schedules it once per message the slot carries: the slot is
+    taken at the send, its event runs [f x] at delivery, and [f] releases
+    the slot before it builds the message a handler sees, so handlers may
+    keep that message. *)
+
+val schedule_event : t -> float -> event -> unit
+(** [schedule_event t at ev] runs [ev] at simulated time [at]. [at] must
+    not be in the past. *)
 
 val run : t -> unit
 (** Execute events until the queue is empty. *)

@@ -2,7 +2,9 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* Inlined, like [hash2], so that [hash2_int] (one call per dimension of
+   every lazy tree-node placement) keeps its int64s unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -28,7 +30,7 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let hash2 seed x =
+let[@inline] hash2 seed x =
   mix64 (Int64.add (mix64 (Int64.add seed (Int64.of_int x))) golden_gamma)
 
 let hash2_int seed x ~bound =

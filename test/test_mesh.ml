@@ -283,6 +283,118 @@ let test_regular_embedding_short_edges () =
   Alcotest.(check bool) "regular shorter than random" true
     (total Embedding.Regular < total Embedding.Random)
 
+(* The placement rules written with coordinate arrays, materialised
+   top-down in preorder as [Embedding.make] does: [root n] places the root
+   of a regular embedding, [draw id k size] picks a random node's offset in
+   dimension [k]. Both [place_lazy] (integer arithmetic per dimension) and
+   [make] must agree with it node for node. *)
+let reference_table kind (d : Deco.t) ~root ~draw =
+  let m = d.Deco.mesh in
+  let n = d.Deco.num_tree_nodes in
+  let place = Array.make n (-1) in
+  for id = 0 to n - 1 do
+    let sm = d.Deco.submesh.(id) in
+    place.(id) <-
+      (if d.Deco.proc.(id) >= 0 then d.Deco.proc.(id)
+       else
+         match kind with
+         | Embedding.Random ->
+             Mesh.node_at_nd m
+               (Array.mapi (fun k o -> o + draw id k sm.Deco.sizes.(k)) sm.Deco.origin)
+         | Embedding.Regular when id = 0 -> root (Mesh.num_nodes m)
+         | Embedding.Regular ->
+             let parent = d.Deco.parent.(id) in
+             let psm = d.Deco.submesh.(parent) in
+             let pc = Mesh.coords_nd m place.(parent) in
+             Mesh.node_at_nd m
+               (Array.mapi
+                  (fun k o -> o + ((pc.(k) - psm.Deco.origin.(k)) mod sm.Deco.sizes.(k)))
+                  sm.Deco.origin))
+  done;
+  place
+
+let embedding_configs =
+  List.concat_map
+    (fun dims ->
+      List.map (fun arity -> (dims, arity)) [ Deco.Two; Deco.Four ])
+    [ [| 8; 8 |]; [| 4; 6 |]; [| 5; 3 |]; [| 4; 4; 4 |]; [| 2; 3; 4 |] ]
+
+let test_lazy_embedding_matches_table () =
+  List.iter
+    (fun (dims, arity) ->
+      let m = Mesh.create_nd ~dims in
+      let d = Deco.build m ~arity ~leaf_size:1 in
+      let n = d.Deco.num_tree_nodes in
+      let name = String.concat "x" (Array.to_list (Array.map string_of_int dims)) in
+      List.iter
+        (fun kind ->
+          for s = 1 to 6 do
+            let seed = Int64.of_int (1000 * s) in
+            (* [place_lazy] against the rules, with the seeded draws. *)
+            let want =
+              reference_table kind d
+                ~root:(fun nn -> Prng.hash2_int seed 0 ~bound:nn)
+                ~draw:(fun id k size ->
+                  Prng.hash2_int seed ((Array.length dims * id) + k) ~bound:size)
+            in
+            for id = 0 to n - 1 do
+              Alcotest.(check int)
+                (Printf.sprintf "%s lazy node %d" name id)
+                want.(id) (Embedding.place_lazy kind d ~seed id)
+            done;
+            (* [make]'s table against the same rules, with its rng draws. *)
+            let rng = Prng.create ~seed:s and ref_rng = Prng.create ~seed:s in
+            let e = Embedding.make kind d ~rng in
+            let want =
+              reference_table kind d
+                ~root:(fun nn -> Prng.int ref_rng nn)
+                ~draw:(fun _ _ size -> Prng.int ref_rng size)
+            in
+            for id = 0 to n - 1 do
+              Alcotest.(check int)
+                (Printf.sprintf "%s table node %d" name id)
+                want.(id) (Embedding.place e id)
+            done;
+            (* A regular embedding is fixed by its root: a seed whose lazy
+               root matches [make]'s reproduces the whole table. *)
+            if kind = Embedding.Regular then begin
+              let root = Embedding.place e 0 in
+              let rec find k =
+                let seed = Int64.of_int k in
+                if Embedding.place_lazy kind d ~seed 0 = root then seed
+                else find (k + 1)
+              in
+              let seed = find 0 in
+              for id = 0 to n - 1 do
+                Alcotest.(check int)
+                  (Printf.sprintf "%s regular node %d" name id)
+                  (Embedding.place e id) (Embedding.place_lazy kind d ~seed id)
+              done
+            end
+          done)
+        [ Embedding.Regular; Embedding.Random ])
+    embedding_configs
+
+(* [place_lazy] runs once per tree-node materialisation in the data
+   layer, so it must not allocate: no coordinate arrays, closures or boxed
+   hashes. *)
+let test_lazy_embedding_allocates_nothing () =
+  let m = Mesh.create_nd ~dims:[| 16; 8; 4 |] in
+  let d = Deco.build m ~arity:Deco.Four ~leaf_size:1 in
+  List.iter
+    (fun kind ->
+      let sum = ref 0 in
+      let before = Gc.minor_words () in
+      for id = 0 to d.Deco.num_tree_nodes - 1 do
+        sum := !sum + Embedding.place_lazy kind d ~seed:77L id
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words over %d nodes" words d.Deco.num_tree_nodes)
+        true
+        (words < 8.0 && !sum > 0))
+    [ Embedding.Regular; Embedding.Random ]
+
 let suite =
   [
     Alcotest.test_case "coords roundtrip" `Quick test_coords_roundtrip;
@@ -308,6 +420,10 @@ let suite =
       test_lazy_embedding_in_submesh;
     Alcotest.test_case "lazy regular roots spread" `Quick
       test_lazy_regular_roots_spread;
+    Alcotest.test_case "lazy embedding matches the table" `Quick
+      test_lazy_embedding_matches_table;
+    Alcotest.test_case "lazy embedding allocates nothing" `Quick
+      test_lazy_embedding_allocates_nothing;
     Alcotest.test_case "regular embedding short edges" `Quick
       test_regular_embedding_short_edges;
   ]

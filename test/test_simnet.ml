@@ -5,6 +5,9 @@ module Machine = Diva_simnet.Machine
 module Network = Diva_simnet.Network
 module Link_stats = Diva_simnet.Link_stats
 module Mesh = Diva_mesh.Mesh
+module Trace = Diva_obs.Trace
+module Faults = Diva_faults.Faults
+module Schedule = Diva_faults.Schedule
 
 type Network.payload += Ping of int
 
@@ -211,26 +214,27 @@ let test_mailbox_burst_linear () =
   Alcotest.(check bool) "burst stays linear (< 5 s cpu)" true
     (Sys.time () -. t0 < 5.0)
 
-(* Closure-free scheduling: Sim.schedule_call carries (f, x) instead of a
-   fresh closure, and must interleave with ordinary closures in exact
-   (time, insertion) order. *)
-let test_sim_schedule_call () =
+(* Prebuilt events: [Sim.event f x] runs [f x] each time it is scheduled
+   (no closure per scheduling), interleaved with ordinary closures in
+   exact (time, insertion) order. *)
+let test_sim_schedule_event () =
   let s = Sim.create () in
   let log = ref [] in
   let push x = log := x :: !log in
-  Sim.schedule_call s 2.0 push 2;
+  let ten = Sim.event push 10 in
+  Sim.schedule_event s 2.0 (Sim.event push 2);
   Sim.schedule s 1.0 (fun () -> push 1);
-  Sim.schedule_call s 1.0 push 10;
+  Sim.schedule_event s 1.0 ten;
   Sim.schedule s 1.0 (fun () ->
-      (* now-relative variant from inside an event *)
-      Sim.schedule_call_now s push 11);
+      (* the same event again, from inside an event, at the current instant *)
+      Sim.schedule_event s (Sim.now s) ten);
   Sim.run s;
-  Alcotest.(check (list int)) "call/closure interleaving" [ 1; 10; 11; 2 ]
+  Alcotest.(check (list int)) "event/closure interleaving" [ 1; 10; 10; 2 ]
     (List.rev !log);
   Alcotest.(check int) "executed" 5 (Sim.events_executed s);
-  Alcotest.check_raises "past call"
+  Alcotest.check_raises "past event"
     (Invalid_argument "Sim.schedule: 0.500 is in the past (now = 2.000)")
-    (fun () -> Sim.schedule_call s 0.5 push 99)
+    (fun () -> Sim.schedule_event s 0.5 ten)
 
 (* Selective receive by tag: per-tag FIFO, O(1) amortized, coexisting with
    untagged traffic and the predicate filter on the same mailbox. *)
@@ -336,6 +340,222 @@ let test_snapshot_diff () =
   Alcotest.(check int) "full history" 120
     (Link_stats.congestion_bytes (Network.stats net))
 
+(* --- delivery slots ------------------------------------------------ *)
+
+(* A message in flight lives in a recycled delivery slot, and the [msg] a
+   handler sees is built when the slot is dispatched. These checks send
+   [Probe k] and compare what arrives with what was sent, while slots are
+   reused heavily. *)
+type Network.payload += Probe of int
+
+type sent = {
+  s_src : int;
+  s_dst : int;
+  s_size : int;
+  s_tag : int;
+  s_id : int;  (* causal id and txn of the send, read off its [Msg_send] *)
+  s_txn : int;
+  s_parent : int;
+  s_depth : int;
+}
+
+type probes = {
+  net : Network.t;
+  sent : (int, sent) Hashtbl.t;
+  handled : (int, int) Hashtbl.t;  (* k -> times a handler saw it *)
+  mutable bad : string list;  (* mismatches, newest first *)
+  mutable next : int;
+  mutable last : int * int * int;  (* (id, txn, parent) of the last Msg_send *)
+}
+
+let probe_schedule =
+  Schedule.make ~seed:11 ~rto_us:20000.0
+    [ Schedule.Msg_drop { prob = 0.3; w = { t0 = 0.0; t1 = 1e12 } } ]
+
+let probes ?faults () =
+  let net = Network.create ~rows:4 ~cols:4 () in
+  Option.iter (fun sch -> Network.set_faults net (Faults.create sch)) faults;
+  let pr =
+    { net; sent = Hashtbl.create 4096; handled = Hashtbl.create 4096; bad = [];
+      next = 0; last = (-1, -1, -1) }
+  in
+  Network.set_trace net
+    (Trace.stream (function
+      | Trace.Msg_send { id; txn; parent; _ } -> pr.last <- (id, txn, parent)
+      | _ -> ()));
+  pr
+
+let probe_send pr ~src ~dst depth =
+  let k = pr.next in
+  pr.next <- k + 1;
+  let size = 8 + (k mod 97) and tag = (k mod 5) - 1 in
+  Network.send pr.net ~tag ~src ~dst ~size (Probe k);
+  let s_id, s_txn, s_parent = pr.last in
+  Hashtbl.replace pr.sent k
+    { s_src = src; s_dst = dst; s_size = size; s_tag = tag; s_id; s_txn;
+      s_parent; s_depth = depth }
+
+let probe_bad pr fmt = Printf.ksprintf (fun m -> pr.bad <- m :: pr.bad) fmt
+
+(* Compare an arrived message with its send. [in_handler] also checks the
+   causal context the dispatch set up. *)
+let probe_check pr ~in_handler (msg : Network.msg) =
+  match msg.Network.m_payload with
+  | Probe k -> (
+      match Hashtbl.find_opt pr.sent k with
+      | None -> probe_bad pr "probe %d was never sent" k
+      | Some s ->
+          if
+            (msg.Network.m_src, msg.m_dst, msg.m_size, msg.m_tag)
+            <> (s.s_src, s.s_dst, s.s_size, s.s_tag)
+          then
+            probe_bad pr "probe %d: got %d->%d size %d tag %d" k msg.m_src
+              msg.m_dst msg.m_size msg.m_tag;
+          if
+            in_handler
+            && (Network.cur_msg pr.net, Network.cur_txn pr.net) <> (s.s_id, s.s_txn)
+          then
+            probe_bad pr "probe %d: context (%d, %d), traced (%d, %d)" k
+              (Network.cur_msg pr.net) (Network.cur_txn pr.net) s.s_id s.s_txn;
+          Hashtbl.replace pr.handled k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt pr.handled k)))
+  | _ -> probe_bad pr "foreign payload"
+
+(* Every handler checks its message, then (up to depth 2) sends one local
+   and one remote child; the children inherit the message's txn and name
+   it as their parent. *)
+let install_probe_handlers ?(except = -1) pr =
+  for node = 0 to Network.num_nodes pr.net - 1 do
+    if node <> except then
+      Network.set_handler pr.net node (fun net msg ->
+          probe_check pr ~in_handler:true msg;
+          match msg.Network.m_payload with
+          | Probe k ->
+              let s = Hashtbl.find pr.sent k in
+              if s.s_depth < 2 then begin
+                let first = pr.next in
+                probe_send pr ~src:node ~dst:node (s.s_depth + 1);
+                probe_send pr ~src:node
+                  ~dst:((node + 1 + (k mod 15)) mod Network.num_nodes net)
+                  (s.s_depth + 1);
+                for c = first to pr.next - 1 do
+                  let cs = Hashtbl.find pr.sent c in
+                  if (cs.s_txn, cs.s_parent) <> (s.s_txn, s.s_id) then
+                    probe_bad pr "probe %d: traced txn/parent (%d, %d), want (%d, %d)"
+                      c cs.s_txn cs.s_parent s.s_txn s.s_id
+                done
+              end
+          | _ -> ())
+  done
+
+(* [n] top-level sends, each its own transaction. *)
+let probe_seeds pr n =
+  for i = 0 to n - 1 do
+    Network.set_txn pr.net (1_000_000 + i);
+    probe_send pr ~src:(i mod 16) ~dst:((i * 7 + 3) mod 16) 0
+  done;
+  Network.set_txn pr.net (-1)
+
+let check_probes pr =
+  Alcotest.(check (list string)) "every message as sent" [] (List.rev pr.bad);
+  let twice = Hashtbl.fold (fun _ c acc -> if c <> 1 then acc + 1 else acc) pr.handled 0 in
+  Alcotest.(check int) "every probe handled" (Hashtbl.length pr.sent)
+    (Hashtbl.length pr.handled);
+  Alcotest.(check int) "handled exactly once" 0 twice
+
+let test_slots_in_flight () =
+  let pr = probes () in
+  install_probe_handlers pr;
+  probe_seeds pr 12_000;
+  Alcotest.(check bool) "over 10 K deliveries pending" true
+    (Sim.pending (Network.sim pr.net) >= 10_000);
+  Network.run pr.net;
+  Alcotest.(check int) "seeds and two generations of children" (12_000 * 7)
+    (Hashtbl.length pr.sent);
+  check_probes pr
+
+(* Messages left in node 0's mailbox stay intact while thousands of later
+   sends recycle the slots they arrived in. *)
+let slots_mailbox_kept ?faults () =
+  let pr = probes ?faults () in
+  install_probe_handlers ~except:0 pr;
+  for i = 0 to 299 do
+    probe_send pr ~src:(i mod 16) ~dst:0 2
+  done;
+  Network.run pr.net;
+  let kept = Hashtbl.length pr.sent in
+  for i = 0 to 2999 do
+    probe_send pr ~src:(1 + (i mod 15)) ~dst:(1 + ((i * 7) mod 15)) 2
+  done;
+  Network.run pr.net;
+  Network.spawn pr.net 0 (fun () ->
+      for _ = 1 to kept do
+        probe_check pr ~in_handler:false (Network.recv pr.net 0 ())
+      done);
+  Network.run pr.net;
+  check_probes pr;
+  pr
+
+let test_slots_mailbox_kept () = ignore (slots_mailbox_kept ())
+
+(* The same under drops: envelopes, acks and retransmissions all cycle
+   through slots, and the watchdog's [nudge] retransmits from outside any
+   handler; each probe must still be handled exactly once, as sent. *)
+let test_slots_under_faults () =
+  let pr = probes ~faults:probe_schedule () in
+  install_probe_handlers pr;
+  probe_seeds pr 2_000;
+  let sim = Network.sim pr.net and nudged = ref 0 in
+  let f = Option.get (Network.faults pr.net) in
+  for i = 1 to 40 do
+    Sim.schedule sim (float_of_int i *. 25_000.0) (fun () ->
+        let before = Faults.retransmits f in
+        for src = 0 to 15 do
+          Network.nudge pr.net ~src
+        done;
+        nudged := !nudged + Faults.retransmits f - before)
+  done;
+  Network.run pr.net;
+  check_probes pr;
+  Alcotest.(check bool) "transmissions lost" true (Faults.lost_total f > 0);
+  Alcotest.(check bool) "acks received" true (Faults.acks_received f > 0);
+  Alcotest.(check bool) "nudges retransmitted" true (!nudged > 0);
+  Alcotest.(check bool) "timers retransmitted" true (Faults.retransmits f > !nudged);
+  let pr = slots_mailbox_kept ~faults:probe_schedule () in
+  Alcotest.(check bool) "mailbox run lost transmissions" true
+    (Faults.lost_total (Option.get (Network.faults pr.net)) > 0)
+
+(* After warm-up, a fault-free remote send allocates nothing of its own
+   until its delivery is dispatched: the slot pool, the event queue and
+   the route buffer are all reused. The one allocation left is the box of
+   the delivery time handed to [Sim.schedule_event] (2 words): modules are
+   compiled opaquely, so a float crossing into another module is boxed.
+   The send-time records this replaced (message, delivery context, queue
+   entry) cost 14 words more. *)
+let test_send_allocates_no_records () =
+  let net = Network.create ~rows:4 ~cols:4 () in
+  for node = 0 to 15 do
+    Network.set_handler net node (fun _ _ -> ())
+  done;
+  let payload = Ping 0 in
+  let burst () =
+    for i = 0 to 999 do
+      let src = i mod 16 in
+      Network.send net ~src ~dst:((src + 1 + (i mod 15)) mod 16) ~size:64 payload
+    done
+  in
+  burst ();
+  Network.run net;
+  burst ();
+  Network.run net;
+  let before = Gc.minor_words () in
+  burst ();
+  let per_send = (Gc.minor_words () -. before) /. 1000.0 in
+  Network.run net;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per send, at most the time's box" per_send)
+    true (per_send <= 2.0)
+
 let suite =
   [
     Alcotest.test_case "event order" `Quick test_sim_event_order;
@@ -353,7 +573,13 @@ let suite =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "mailbox burst linear" `Quick test_mailbox_burst_linear;
-    Alcotest.test_case "schedule_call" `Quick test_sim_schedule_call;
+    Alcotest.test_case "schedule_event" `Quick test_sim_schedule_event;
+    Alcotest.test_case "slots: 10 K in flight" `Quick test_slots_in_flight;
+    Alcotest.test_case "slots: kept mailbox messages" `Quick
+      test_slots_mailbox_kept;
+    Alcotest.test_case "slots: under faults" `Quick test_slots_under_faults;
+    Alcotest.test_case "send allocates no records" `Quick
+      test_send_allocates_no_records;
     Alcotest.test_case "recv by tag" `Quick test_recv_by_tag;
     Alcotest.test_case "recv tag waiter" `Quick test_recv_tag_blocks_until_match;
     Alcotest.test_case "recv tag+where rejected" `Quick
